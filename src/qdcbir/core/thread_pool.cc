@@ -97,15 +97,10 @@ bool ThreadPool::RunOneTask(std::unique_lock<std::mutex>& lock) {
 
   std::exception_ptr error;
   {
-    // Adopt the submitter's trace context for the task's duration, then
-    // restore this lane's own: a worker interleaving tasks of different
-    // requests must never cross their span trees. The span tag and
-    // resource sink hop the pool the same way, so profiler samples and
-    // resource taps inside the task attribute to the enqueuing request.
-    const obs::ScopedTraceContext scoped_trace(std::move(task.trace));
-    const obs::ScopedSpanTag scoped_span(task.enqueue_span);
-    const obs::ScopedResourceAccounting scoped_resources(task.resources);
-    const obs::ScopedAccessAccounting scoped_access(task.access);
+    // Adopt the submitter's context for the task's duration, then restore
+    // this lane's own: a worker interleaving tasks of different requests
+    // must never cross their span trees or resource sinks.
+    const obs::ScopedTaskContext scoped(std::move(task.context));
     try {
       task.fn();
     } catch (...) {
@@ -164,10 +159,7 @@ void ThreadPool::Post(std::function<void()> task) {
     queue_depth_.Set(g_queued_tasks.fetch_add(1, std::memory_order_relaxed) +
                      1);
     queue_.push_back(Task{std::move(task), std::move(batch),
-                          obs::MonotonicNanos(), obs::CurrentTraceContext(),
-                          obs::CurrentSpanName(),
-                          obs::CurrentResourceAccumulator(),
-                          obs::CurrentAccessAccumulator()});
+                          obs::MonotonicNanos(), obs::CurrentTaskContext()});
   }
   work_cv_.notify_one();
 }
@@ -191,10 +183,7 @@ void ThreadPool::Run(std::vector<std::function<void()>> tasks) {
   auto batch = std::make_shared<Batch>();
   batch->pending = tasks.size();
   const std::uint64_t enqueue_ns = obs::MonotonicNanos();
-  const obs::TraceContext& trace = obs::CurrentTraceContext();
-  const char* enqueue_span = obs::CurrentSpanName();
-  obs::ResourceAccumulator* resources = obs::CurrentResourceAccumulator();
-  obs::AccessAccumulator* access = obs::CurrentAccessAccumulator();
+  const obs::TaskContext context = obs::CurrentTaskContext();
   {
     std::lock_guard<std::mutex> lock(mu_);
     // The gauge goes up before any worker can pop a task (the pop needs
@@ -205,8 +194,7 @@ void ThreadPool::Run(std::vector<std::function<void()>> tasks) {
                                  std::memory_order_relaxed) +
         static_cast<std::int64_t>(tasks.size()));
     for (std::function<void()>& task : tasks) {
-      queue_.push_back(Task{std::move(task), batch, enqueue_ns, trace,
-                            enqueue_span, resources, access});
+      queue_.push_back(Task{std::move(task), batch, enqueue_ns, context});
     }
   }
   work_cv_.notify_all();

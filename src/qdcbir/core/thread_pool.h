@@ -12,11 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/metrics.h"
-#include "qdcbir/obs/resource_stats.h"
-#include "qdcbir/obs/span_stack.h"
-#include "qdcbir/obs/trace_context.h"
+#include "qdcbir/obs/task_context.h"
 
 namespace qdcbir {
 
@@ -35,6 +32,10 @@ namespace qdcbir {
 ///  - **Exception propagation.** The first exception thrown by a task of a
 ///    batch is captured and rethrown on the thread that submitted the batch
 ///    once every task of the batch has finished.
+///  - **Context propagation.** A queued task runs under the submitter's
+///    `obs::TaskContext` — trace context, innermost span name and resource
+///    sink — so its spans, profiler samples and accounting taps attribute
+///    to the request that scheduled it.
 ///
 /// Determinism contract: the pool itself makes no ordering promises between
 /// tasks of a batch; callers must write results into per-task slots (or
@@ -130,21 +131,10 @@ class ThreadPool {
     std::function<void()> fn;
     std::shared_ptr<Batch> batch;
     std::uint64_t enqueue_ns = 0;  ///< queue-wait measurement origin
-    /// The submitter's trace context, captured at enqueue and restored
-    /// around execution, so spans opened inside pool tasks keep their
-    /// parent links (nested ParallelFor included). Inline paths skip the
-    /// capture — the submitter's context is already current.
-    obs::TraceContext trace;
-    /// The submitter's innermost span name at enqueue, re-opened on the
-    /// worker's signal-safe span stack: profiler samples taken inside the
-    /// task attribute to the span that scheduled it (nullptr = none).
-    const char* enqueue_span = nullptr;
-    /// The submitter's active resource sink, installed for the task's
-    /// duration so engine taps on workers count toward the right session.
-    obs::ResourceAccumulator* resources = nullptr;
-    /// The submitter's active per-leaf access sink, propagated the same
-    /// way so index-access taps on workers land in the right session.
-    obs::AccessAccumulator* access = nullptr;
+    /// The submitter's context, captured at enqueue and installed around
+    /// execution. Inline paths skip the capture — the submitter's context
+    /// is already current.
+    obs::TaskContext context;
   };
 
   void WorkerLoop();

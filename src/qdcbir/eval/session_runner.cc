@@ -56,8 +56,7 @@ std::uint64_t SecondsToNanos(double seconds) {
 /// rankings depend on.
 void RecordAudit(std::string_view engine, const QueryGroundTruth& gt,
                  const ProtocolOptions& protocol, const RunOutcome& outcome,
-                 std::size_t picks, const obs::ResourceUsage& usage,
-                 const obs::SessionQuality& quality) {
+                 std::size_t picks) {
   obs::QueryAuditRecord record;
   record.set_engine(engine);
   record.set_label(gt.spec.name);
@@ -84,22 +83,7 @@ void RecordAudit(std::string_view engine, const QueryGroundTruth& gt,
   record.rounds_ns = rounds_ns;
   record.finalize_ns = SecondsToNanos(outcome.finalize_seconds);
   record.total_ns = SecondsToNanos(outcome.total_seconds);
-  record.distance_evals = usage.distance_evals;
-  record.feature_bytes = usage.feature_bytes;
-  record.leaves_visited = usage.leaves_visited;
-  record.tiles_gathered = usage.tiles_gathered;
-  record.container_allocs = usage.container_allocs;
-  record.alloc_bytes = usage.alloc_bytes;
-  record.cache_hits = usage.cache_hits;
-  record.cache_misses = usage.cache_misses;
-  record.quality_jaccard_permille = quality.last_jaccard_permille;
-  record.quality_rank_churn = quality.last_rank_churn;
-  record.quality_rounds_to_stability = quality.rounds_to_stability;
-  record.quality_outcome = static_cast<std::uint64_t>(quality.outcome);
-  if (quality.oracle_precision_defined) {
-    record.quality_oracle_precision_permille_plus1 =
-        quality.oracle_precision_permille + 1;
-  }
+  record.SetTelemetry(outcome.resources, outcome.quality);
   // Batch runs carry a trace id too when the caller installed one (the
   // serve layer always does; CLI runs leave it zero → rendered as "").
   const obs::TraceContext& trace = obs::CurrentTraceContext();
@@ -224,8 +208,7 @@ StatusOr<RunOutcome> SessionRunner::RunQd(const RfsTree& rfs,
       "quality.oracle_precision_permille",
       static_cast<std::int64_t>(outcome.quality.oracle_precision_permille));
 
-  RecordAudit("qd", gt, protocol, outcome, all_marked.size(),
-              outcome.resources, outcome.quality);
+  RecordAudit("qd", gt, protocol, outcome, all_marked.size());
   return outcome;
 }
 
@@ -334,8 +317,7 @@ StatusOr<RunOutcome> SessionRunner::RunEngine(FeedbackEngine& engine,
       Permille(outcome.final_precision);
   obs::PublishSessionQuality(outcome.quality);
 
-  RecordAudit(engine.Name(), gt, protocol, outcome, total_picks,
-              outcome.resources, outcome.quality);
+  RecordAudit(engine.Name(), gt, protocol, outcome, total_picks);
   return outcome;
 }
 

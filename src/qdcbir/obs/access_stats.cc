@@ -8,33 +8,6 @@
 namespace qdcbir {
 namespace obs {
 
-std::vector<LeafAccess> AccessAccumulator::Snapshot() const {
-  std::vector<LeafAccess> rows;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rows.reserve(leaves_.size());
-    for (const auto& [leaf, counts] : leaves_) {
-      rows.push_back(LeafAccess{leaf, counts});
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const LeafAccess& x, const LeafAccess& y) {
-              return x.leaf < y.leaf;
-            });
-  return rows;
-}
-
-namespace internal {
-
-void FlushAccessTlsSlots(AccessTls& state) {
-  for (std::uint32_t i = 0; i < state.used; ++i) {
-    state.accumulator->Merge(state.leaf[i], state.counts[i]);
-  }
-  state.used = 0;
-}
-
-}  // namespace internal
-
 AccessStatsTable& AccessStatsTable::Global() {
   static AccessStatsTable* table = new AccessStatsTable;
   return *table;

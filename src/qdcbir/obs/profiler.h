@@ -17,7 +17,7 @@ struct ProfileSample {
   std::uint64_t trace_hi = 0;  ///< trace id mirror (0 when outside a trace)
   std::uint64_t trace_lo = 0;
   /// Innermost `QDCBIR_SPAN` literal at sample time (possibly re-opened on
-  /// a pool worker via `ScopedSpanTag`), or nullptr outside any span.
+  /// a pool worker by `ScopedTaskContext`), or nullptr outside any span.
   const char* span = nullptr;
   std::uint32_t num_frames = 0;
   std::uint32_t tid = 0;  ///< OS thread id of the sampled thread

@@ -6,6 +6,7 @@
 
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/quality_stats.h"
+#include "qdcbir/obs/resource_stats.h"
 
 namespace qdcbir {
 namespace obs {
@@ -65,6 +66,25 @@ void QueryAuditRecord::set_engine(std::string_view name) {
 
 void QueryAuditRecord::set_label(std::string_view name) {
   CopyTruncated(label, sizeof(label), name);
+}
+
+void QueryAuditRecord::SetTelemetry(const ResourceUsage& usage,
+                                    const SessionQuality& quality) {
+  distance_evals = usage.distance_evals;
+  feature_bytes = usage.feature_bytes;
+  leaves_visited = usage.leaves_visited;
+  tiles_gathered = usage.tiles_gathered;
+  container_allocs = usage.container_allocs;
+  alloc_bytes = usage.alloc_bytes;
+  cache_hits = usage.cache_hits;
+  cache_misses = usage.cache_misses;
+  quality_jaccard_permille = quality.last_jaccard_permille;
+  quality_rank_churn = quality.last_rank_churn;
+  quality_rounds_to_stability = quality.rounds_to_stability;
+  quality_outcome = static_cast<std::uint64_t>(quality.outcome);
+  quality_oracle_precision_permille_plus1 =
+      quality.oracle_precision_defined ? quality.oracle_precision_permille + 1
+                                       : 0;
 }
 
 std::string_view QueryAuditRecord::engine_view() const {

@@ -11,6 +11,9 @@
 namespace qdcbir {
 namespace obs {
 
+struct ResourceUsage;
+struct SessionQuality;
+
 /// One completed retrieval session, as shown on `/queryz`. Fixed-size and
 /// trivially copyable so records can live in the lock-free audit ring:
 /// the struct is copied word-by-word through `std::atomic<uint64_t>`
@@ -70,6 +73,9 @@ struct QueryAuditRecord {
 
   void set_engine(std::string_view name);
   void set_label(std::string_view name);
+  /// Copies the session's resource totals and quality summary into the
+  /// record's resource and quality fields.
+  void SetTelemetry(const ResourceUsage& usage, const SessionQuality& quality);
   std::string_view engine_view() const;
   std::string_view label_view() const;
   /// 32-hex trace id, "" when zero.

@@ -1,8 +1,11 @@
 #ifndef QDCBIR_OBS_RESOURCE_STATS_H_
 #define QDCBIR_OBS_RESOURCE_STATS_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <unordered_map>
+#include <vector>
 
 namespace qdcbir {
 namespace obs {
@@ -43,57 +46,94 @@ struct ResourceUsage {
   }
 };
 
-/// Shared sink for one query's usage. Workers batch increments in plain
-/// thread-local deltas and merge once per task, so the per-event cost on
-/// the hot path is a thread-local null check plus an ordinary add — no
-/// atomics, no sharing.
+/// Index region identifier for per-leaf accounting. RFS-backed localized
+/// scans record the stable NodeId of the searched subtree root (a leaf
+/// until boundary expansion widens it); engines that scan the flat feature
+/// table (Qcluster list merging, Fagin sorted-list building) account under
+/// `kTableScanLeaf`, so full-table work shows up in the same heatmap
+/// without faking tree coordinates. Ids are stable within one loaded
+/// snapshot generation — the serve layer resets the global table on reload.
+using AccessLeafId = std::uint32_t;
+inline constexpr AccessLeafId kTableScanLeaf = 0xffffffffu;
+
+/// Physical index work attributed to one leaf (or the table-scan bucket).
+/// Like `ResourceUsage` these are physical-work counters: a cache hit
+/// legitimately reduces scans/evals relative to a cold run, while the
+/// logical cost model (QdSessionStats) stays byte-identical either way.
+struct LeafAccessCounts {
+  std::uint64_t scans = 0;           ///< localized scans over this leaf
+  std::uint64_t distance_evals = 0;  ///< query × candidate distances in them
+  std::uint64_t feature_bytes = 0;   ///< feature-vector bytes read from it
+  std::uint64_t cache_hits = 0;      ///< scans answered from the result cache
+  std::uint64_t cache_misses = 0;    ///< scans that had to touch the leaf
+
+  void Add(const LeafAccessCounts& other) {
+    scans += other.scans;
+    distance_evals += other.distance_evals;
+    feature_bytes += other.feature_bytes;
+    cache_hits += other.cache_hits;
+    cache_misses += other.cache_misses;
+  }
+
+  bool IsZero() const {
+    return (scans | distance_evals | feature_bytes | cache_hits |
+            cache_misses) == 0;
+  }
+};
+
+/// One row of a per-leaf snapshot.
+struct LeafAccess {
+  AccessLeafId leaf = 0;
+  LeafAccessCounts counts;
+};
+
+namespace internal {
+struct ResourceTls;
+/// Merges a thread's pending deltas into its (non-null) sink under one
+/// lock, then zeroes them.
+void FlushResourceTls(ResourceTls& state);
+}  // namespace internal
+
+/// Per-session sink: the session's usage totals plus its per-leaf rows.
+/// Workers batch increments in plain thread-local deltas and merge once
+/// per task (or on leaf-slot overflow), so the per-event cost on the hot
+/// path is a thread-local null check plus ordinary adds — no atomics, no
+/// sharing. Leaf rows are kept only when obs is compiled in; the totals
+/// always count.
 class ResourceAccumulator {
  public:
-  void Merge(const ResourceUsage& usage) {
-    if (usage.IsZero()) return;
-    distance_evals_.fetch_add(usage.distance_evals, std::memory_order_relaxed);
-    feature_bytes_.fetch_add(usage.feature_bytes, std::memory_order_relaxed);
-    leaves_visited_.fetch_add(usage.leaves_visited, std::memory_order_relaxed);
-    tiles_gathered_.fetch_add(usage.tiles_gathered, std::memory_order_relaxed);
-    container_allocs_.fetch_add(usage.container_allocs,
-                                std::memory_order_relaxed);
-    alloc_bytes_.fetch_add(usage.alloc_bytes, std::memory_order_relaxed);
-    cache_hits_.fetch_add(usage.cache_hits, std::memory_order_relaxed);
-    cache_misses_.fetch_add(usage.cache_misses, std::memory_order_relaxed);
+  ResourceUsage Snapshot() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return usage_;
   }
 
-  ResourceUsage Snapshot() const {
-    ResourceUsage usage;
-    usage.distance_evals = distance_evals_.load(std::memory_order_relaxed);
-    usage.feature_bytes = feature_bytes_.load(std::memory_order_relaxed);
-    usage.leaves_visited = leaves_visited_.load(std::memory_order_relaxed);
-    usage.tiles_gathered = tiles_gathered_.load(std::memory_order_relaxed);
-    usage.container_allocs = container_allocs_.load(std::memory_order_relaxed);
-    usage.alloc_bytes = alloc_bytes_.load(std::memory_order_relaxed);
-    usage.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-    usage.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-    return usage;
-  }
+  /// Per-leaf rows sorted by leaf id, so consumers see a deterministic
+  /// order. Empty under `-DQDCBIR_OBS=OFF`.
+  std::vector<LeafAccess> LeafSnapshot() const;
 
  private:
-  std::atomic<std::uint64_t> distance_evals_{0};
-  std::atomic<std::uint64_t> feature_bytes_{0};
-  std::atomic<std::uint64_t> leaves_visited_{0};
-  std::atomic<std::uint64_t> tiles_gathered_{0};
-  std::atomic<std::uint64_t> container_allocs_{0};
-  std::atomic<std::uint64_t> alloc_bytes_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
+  friend void internal::FlushResourceTls(internal::ResourceTls& state);
+
+  mutable std::mutex mu_;
+  ResourceUsage usage_;
+  std::unordered_map<AccessLeafId, LeafAccessCounts> leaves_;
 };
 
 namespace internal {
 
+inline constexpr std::size_t kLeafTlsSlots = 8;
+
 /// Per-thread accounting state: the active sink (null = accounting off,
-/// every tap is a single predictable branch) and the local deltas batched
-/// toward it.
+/// every tap is a single predictable branch), the usage deltas batched
+/// toward it, and a fixed slot table of per-leaf deltas. A localized
+/// search touches one leaf at a time, so eight slots absorb a whole task
+/// between flushes.
 struct ResourceTls {
   ResourceAccumulator* accumulator = nullptr;
   ResourceUsage local;
+  std::uint32_t leaves_used = 0;
+  AccessLeafId leaf[kLeafTlsSlots] = {};
+  LeafAccessCounts counts[kLeafTlsSlots] = {};
 };
 
 inline ResourceTls& ResourceState() {
@@ -101,11 +141,24 @@ inline ResourceTls& ResourceState() {
   return state;
 }
 
+/// The delta slot for `leaf` in an accounting thread's table; flushes the
+/// table first when it is full.
+inline LeafAccessCounts& LeafSlot(ResourceTls& state, AccessLeafId leaf) {
+  for (std::uint32_t i = 0; i < state.leaves_used; ++i) {
+    if (state.leaf[i] == leaf) return state.counts[i];
+  }
+  if (state.leaves_used == kLeafTlsSlots) FlushResourceTls(state);
+  const std::uint32_t slot = state.leaves_used++;
+  state.leaf[slot] = leaf;
+  state.counts[slot] = LeafAccessCounts{};
+  return state.counts[slot];
+}
+
 }  // namespace internal
 
-/// The sink active on this thread, or null. `ThreadPool` captures this at
-/// enqueue so tasks spawned while accounting carry the session's sink onto
-/// workers, exactly like trace context.
+/// The sink active on this thread, or null. Part of the `TaskContext` that
+/// `ThreadPool` captures at enqueue (obs/task_context.h), so tasks spawned
+/// while accounting carry the session's sink onto workers.
 inline ResourceAccumulator* CurrentResourceAccumulator() {
   return internal::ResourceState().accumulator;
 }
@@ -146,32 +199,66 @@ inline void CountCacheMiss() {
   if (state.accumulator != nullptr) state.local.cache_misses += 1;
 }
 
-/// Merges this thread's pending local deltas into the active sink now,
-/// without waiting for the enclosing scope to close. Callers that read the
-/// accumulator while their own scope is still open (session runners
-/// publishing audit records) flush first.
-inline void FlushResourceAccounting() {
+/// One scan of `leaf` (or `kTableScanLeaf`): adds the distance evals and
+/// feature bytes to the session totals and, when obs is compiled in, to
+/// the leaf's row. The only tap a leaf or table scan needs.
+inline void CountLeafScan([[maybe_unused]] AccessLeafId leaf,
+                          std::uint64_t distance_evals,
+                          std::uint64_t feature_bytes) {
+  internal::ResourceTls& state = internal::ResourceState();
+  if (state.accumulator == nullptr) return;
+  state.local.distance_evals += distance_evals;
+  state.local.feature_bytes += feature_bytes;
+#ifndef QDCBIR_DISABLE_OBS
+  LeafAccessCounts& slot = internal::LeafSlot(state, leaf);
+  slot.scans += 1;
+  slot.distance_evals += distance_evals;
+  slot.feature_bytes += feature_bytes;
+#endif
+}
+
+/// Per-leaf result-cache outcome of a scan. Leaf rows only: no-ops under
+/// `-DQDCBIR_OBS=OFF`.
+inline void CountLeafCacheHit([[maybe_unused]] AccessLeafId leaf) {
+#ifndef QDCBIR_DISABLE_OBS
   internal::ResourceTls& state = internal::ResourceState();
   if (state.accumulator != nullptr) {
-    state.accumulator->Merge(state.local);
-    state.local = ResourceUsage{};
+    internal::LeafSlot(state, leaf).cache_hits += 1;
   }
+#endif
+}
+inline void CountLeafCacheMiss([[maybe_unused]] AccessLeafId leaf) {
+#ifndef QDCBIR_DISABLE_OBS
+  internal::ResourceTls& state = internal::ResourceState();
+  if (state.accumulator != nullptr) {
+    internal::LeafSlot(state, leaf).cache_misses += 1;
+  }
+#endif
+}
+
+/// Merges this thread's pending deltas (totals and leaf rows) into the
+/// active sink now, without waiting for the enclosing scope to close.
+/// Callers that read the accumulator while their own scope is still open
+/// (session runners and the serve layer publishing audit records) flush
+/// first.
+inline void FlushResourceAccounting() {
+  internal::ResourceTls& state = internal::ResourceState();
+  if (state.accumulator != nullptr) internal::FlushResourceTls(state);
 }
 
 /// Installs `accumulator` as this thread's sink for the enclosing scope and
 /// flushes the deltas gathered inside the scope into it on destruction.
 /// Nests (inner scopes may re-install the same or another sink); a null
-/// accumulator disables accounting for the scope. The serve layer opens one
-/// per request around the engine calls; the thread-pool task wrapper opens
-/// one per task with the enqueuer's sink.
+/// accumulator disables accounting for the scope. `ScopedTaskContext`
+/// (obs/task_context.h) opens one per pool task and per serve request.
 class ScopedResourceAccounting {
  public:
   explicit ScopedResourceAccounting(ResourceAccumulator* accumulator)
-      : saved_accumulator_(internal::ResourceState().accumulator),
-        saved_local_(internal::ResourceState().local) {
+      : saved_(internal::ResourceState()) {
     internal::ResourceTls& state = internal::ResourceState();
     state.accumulator = accumulator;
     state.local = ResourceUsage{};
+    state.leaves_used = 0;
   }
 
   ScopedResourceAccounting(const ScopedResourceAccounting&) = delete;
@@ -179,15 +266,12 @@ class ScopedResourceAccounting {
       delete;
 
   ~ScopedResourceAccounting() {
-    internal::ResourceTls& state = internal::ResourceState();
-    if (state.accumulator != nullptr) state.accumulator->Merge(state.local);
-    state.accumulator = saved_accumulator_;
-    state.local = saved_local_;
+    FlushResourceAccounting();
+    internal::ResourceState() = saved_;
   }
 
  private:
-  ResourceAccumulator* saved_accumulator_;
-  ResourceUsage saved_local_;
+  internal::ResourceTls saved_;
 };
 
 }  // namespace obs

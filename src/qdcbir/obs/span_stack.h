@@ -67,9 +67,9 @@ struct SpanStack {
 /// context cannot deadlock on a C++ TLS guard.
 SpanStack& CurrentSpanStack();
 
-/// Innermost open span name on this thread (nullptr when none). This is
-/// what `ThreadPool` captures at enqueue so worker samples attribute to the
-/// enqueuing span.
+/// Innermost open span name on this thread (nullptr when none). Part of
+/// the `TaskContext` that `ThreadPool` captures at enqueue, so worker
+/// samples attribute to the enqueuing span.
 inline const char* CurrentSpanName() { return CurrentSpanStack().Innermost(); }
 
 /// Mirrors the active trace id; called by `ScopedTraceContext` on install
@@ -79,29 +79,6 @@ inline void SetCurrentSpanStackTrace(std::uint64_t hi, std::uint64_t lo) {
   stack.trace_hi = hi;
   stack.trace_lo = lo;
 }
-
-/// RAII push of a span *name* without the histogram/trace machinery of
-/// `ScopedSpan`. The thread-pool task wrapper uses this to re-open the
-/// enqueuing span's identity on the worker: profiler samples taken inside
-/// the task then attribute to the span that scheduled it, mirroring how
-/// trace context hops the pool. A null name is a no-op, so capture sites
-/// can pass `CurrentSpanName()` unconditionally.
-class ScopedSpanTag {
- public:
-  explicit ScopedSpanTag(const char* name) : pushed_(name != nullptr) {
-    if (pushed_) CurrentSpanStack().Push(name);
-  }
-
-  ScopedSpanTag(const ScopedSpanTag&) = delete;
-  ScopedSpanTag& operator=(const ScopedSpanTag&) = delete;
-
-  ~ScopedSpanTag() {
-    if (pushed_) CurrentSpanStack().Pop();
-  }
-
- private:
-  bool pushed_;
-};
 
 }  // namespace obs
 }  // namespace qdcbir

@@ -20,10 +20,11 @@ class TraceBuffer;
 /// context is inert: spans still record their histograms but no tree is
 /// assembled.
 ///
-/// Propagation: the context lives in a thread-local. `ThreadPool` captures
-/// it at enqueue time and restores it around each task, so parent→child
-/// span links survive the hop onto pool workers (including nested
-/// `ParallelFor` and caller participation).
+/// Propagation: the context lives in a thread-local and travels inside the
+/// `TaskContext` (obs/task_context.h) that `ThreadPool` captures at enqueue
+/// and restores around each task, so parent→child span links survive the
+/// hop onto pool workers (including nested `ParallelFor` and caller
+/// participation).
 struct TraceContext {
   std::uint64_t trace_hi = 0;  ///< high 64 bits of the 128-bit trace id
   std::uint64_t trace_lo = 0;  ///< low 64 bits
@@ -44,8 +45,8 @@ inline const TraceContext& CurrentTraceContext() {
 }
 
 /// Installs `context` as the thread's current context for the enclosing
-/// scope and restores the previous one on destruction. The thread-pool
-/// task wrapper and the serve layer's request handlers use this; it nests.
+/// scope and restores the previous one on destruction; it nests.
+/// `ScopedTaskContext` installs one for every pool task and serve request.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext context)

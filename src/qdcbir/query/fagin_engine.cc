@@ -9,7 +9,6 @@
 #include "qdcbir/core/feature_block.h"
 #include "qdcbir/core/thread_pool.h"
 
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/span.h"
 
@@ -90,8 +89,6 @@ StatusOr<Ranking> FaginEngine::ComputeRanking(std::size_t k) {
         }
       });
   AddBlockBatches(subsystems_.size() * blocks.num_blocks());
-  obs::CountDistanceEvals(subsystems_.size() * blocks.size());
-  obs::CountFeatureBytes(blocks.size() * blocks.dim() * sizeof(double));
   obs::CountLeafScan(obs::kTableScanLeaf, subsystems_.size() * blocks.size(),
                      blocks.size() * blocks.dim() * sizeof(double));
   {

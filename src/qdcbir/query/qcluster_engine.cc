@@ -11,7 +11,6 @@
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/query/multipoint.h"
 
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/span.h"
 
@@ -168,8 +167,6 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
   std::size_t total_batches = 0;
   for (const std::size_t n : chunk_batches) total_batches += n;
   AddBlockBatches(total_batches);
-  obs::CountDistanceEvals(table.size() * centroids.size());
-  obs::CountFeatureBytes(table.size() * blocks.dim() * sizeof(double));
   obs::CountLeafScan(obs::kTableScanLeaf, table.size() * centroids.size(),
                      table.size() * blocks.dim() * sizeof(double));
   stats_.global_knn_computations += 1;

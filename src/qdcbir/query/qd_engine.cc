@@ -12,7 +12,6 @@
 #include "qdcbir/core/distance_kernels.h"
 #include "qdcbir/core/feature_block.h"
 #include "qdcbir/core/thread_pool.h"
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/span.h"
@@ -278,9 +277,6 @@ Ranking QdSession::LocalizedSearchUncached(NodeId node,
                                                        fetch, &search_stats);
     stats->knn_nodes_visited += search_stats.nodes_visited;
     obs::CountLeafVisits(search_stats.nodes_visited);
-    obs::CountDistanceEvals(search_stats.entries_scanned);
-    obs::CountFeatureBytes(search_stats.entries_scanned *
-                           rfs_->feature_blocks().dim() * sizeof(double));
     obs::CountLeafScan(static_cast<obs::AccessLeafId>(node),
                        search_stats.entries_scanned,
                        search_stats.entries_scanned *
@@ -324,8 +320,6 @@ Ranking QdSession::LocalizedSearchUncached(NodeId node,
     ++batches;
   }
   AddBlockBatches(batches);
-  obs::CountDistanceEvals(members.size());
-  obs::CountFeatureBytes(members.size() * blocks.dim() * sizeof(double));
   obs::CountLeafScan(static_cast<obs::AccessLeafId>(node), members.size(),
                      members.size() * blocks.dim() * sizeof(double));
   std::sort(ranking.begin(), ranking.end(),

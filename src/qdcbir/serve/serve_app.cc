@@ -1,5 +1,6 @@
 #include "qdcbir/serve/serve_app.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/span.h"
+#include "qdcbir/obs/task_context.h"
 #include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/rfs/rfs_introspect.h"
@@ -164,7 +166,9 @@ const char* ReadinessName(Readiness state) {
 
 ServeApp::ServeApp(ServeOptions options)
     : options_(std::move(options)),
-      http_pool_(options_.http_threads > 0 ? options_.http_threads : 1),
+      // A pool's caller lane never runs posted work, so one extra lane
+      // gives every one of the `http_threads` connections its own worker.
+      http_pool_(std::max<std::size_t>(options_.http_threads, 1) + 1),
       server_([this] {
         obs::HttpServer::Options server_options;
         server_options.address = options_.address;
@@ -372,40 +376,38 @@ void ServeApp::Stop() {
   }
   for (const auto& [session_id, session] : leftovers) {
     const obs::SessionQuality quality = session->quality.Summary();
-    obs::QueryAuditRecord record;
-    record.set_engine("qd");
-    record.set_label(session->label);
-    record.seed = session->seed;
-    record.rounds = static_cast<std::uint64_t>(session->qd.round());
-    record.picks = session->picks;
-    const QdSessionStats& stats = session->qd.stats();
-    record.subqueries = stats.localized_subqueries;
-    record.boundary_expansions = stats.boundary_expansions;
-    record.expanded_subqueries = stats.expanded_subqueries;
-    record.nodes_visited = stats.knn_nodes_visited;
-    record.candidates_scored = stats.knn_candidates;
-    record.nodes_touched = stats.nodes_touched;
-    record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
-    record.rounds_ns = session->rounds_ns;
-    record.total_ns = session->rounds_ns;
-    record.trace_hi = session->trace.trace_hi;
-    record.trace_lo = session->trace.trace_lo;
-    const obs::ResourceUsage usage = session->resources.Snapshot();
-    record.distance_evals = usage.distance_evals;
-    record.feature_bytes = usage.feature_bytes;
-    record.leaves_visited = usage.leaves_visited;
-    record.tiles_gathered = usage.tiles_gathered;
-    record.container_allocs = usage.container_allocs;
-    record.alloc_bytes = usage.alloc_bytes;
-    record.cache_hits = usage.cache_hits;
-    record.cache_misses = usage.cache_misses;
-    record.quality_jaccard_permille = quality.last_jaccard_permille;
-    record.quality_rank_churn = quality.last_rank_churn;
-    record.quality_rounds_to_stability = quality.rounds_to_stability;
-    record.quality_outcome = static_cast<std::uint64_t>(quality.outcome);
+    const obs::QueryAuditRecord record =
+        session->AuditRecord(quality, /*results=*/0, /*finalize_ns=*/0);
     obs::QueryLog::Global().Record(record);
     FinishSessionObservability(*session, session_id, quality, record);
   }
+}
+
+obs::QueryAuditRecord ServeApp::Session::AuditRecord(
+    const obs::SessionQuality& summary, std::uint64_t results,
+    std::uint64_t finalize_ns) const {
+  obs::QueryAuditRecord record;
+  record.set_engine("qd");
+  record.set_label(label);
+  record.seed = seed;
+  record.rounds = static_cast<std::uint64_t>(qd.round());
+  record.picks = picks;
+  record.results = results;
+  const QdSessionStats& stats = qd.stats();
+  record.subqueries = stats.localized_subqueries;
+  record.boundary_expansions = stats.boundary_expansions;
+  record.expanded_subqueries = stats.expanded_subqueries;
+  record.nodes_visited = stats.knn_nodes_visited;
+  record.candidates_scored = stats.knn_candidates;
+  record.nodes_touched = stats.nodes_touched;
+  record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
+  record.rounds_ns = rounds_ns;
+  record.finalize_ns = finalize_ns;
+  record.total_ns = rounds_ns + finalize_ns;
+  record.trace_hi = trace.trace_hi;
+  record.trace_lo = trace.trace_lo;
+  record.SetTelemetry(resources.Snapshot(), summary);
+  return record;
 }
 
 std::string ServeApp::load_error() const {
@@ -588,9 +590,8 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
   const std::uint64_t start_ns = obs::MonotonicNanos();
   std::vector<DisplayGroup> display;
   {
-    const obs::ScopedTraceContext scoped(session->trace);
-    const obs::ScopedResourceAccounting accounting(&session->resources);
-    const obs::ScopedAccessAccounting access_accounting(&session->access);
+    const obs::ScopedTaskContext scoped({session->trace, nullptr,
+                                         &session->resources});
     QDCBIR_SPAN("serve.api.query");
     display = session->qd.Start();
   }
@@ -645,15 +646,11 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   // The session's trace (fixed at open) is authoritative for the rest of
   // the handler: every span, log entry, and exemplar below carries it. A
   // client traceparent on this request is accepted but does not re-identify
-  // the session.
-  const obs::ScopedTraceContext scoped_trace(session->trace);
-  // Resource accounting spans the whole handler: Feedback and Finalize
-  // deltas (from this thread and every pool worker the engine fans out to)
-  // merge into the session's accumulator.
-  const obs::ScopedResourceAccounting accounting(&session->resources);
-  // Same span for the per-leaf access sink, so every localized scan below
-  // attributes its work to the RFS leaf it touched.
-  const obs::ScopedAccessAccounting access_accounting(&session->access);
+  // the session. The session's sink spans the whole handler too: Feedback
+  // and Finalize work (on this thread and every pool worker the engine fans
+  // out to) merges into it.
+  const obs::ScopedTaskContext scoped({session->trace, nullptr,
+                                       &session->resources});
 
   std::vector<ImageId> relevant;
   if (const JsonValue* ids = body.Find("relevant")) {
@@ -700,7 +697,7 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   }
   start_ns = obs::MonotonicNanos();
   StatusOr<QdResult> result = [&] {
-    QDCBIR_SPAN("serve.api.feedback");
+    QDCBIR_SPAN("serve.api.finalize");
     StatusOr<QdResult> finalized = session->qd.Finalize(k);
     if (finalized.ok()) {
       // Quality observation of the final ranked list happens inside the
@@ -728,44 +725,13 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   }
 
   // The session is complete: publish it to the /queryz audit ring and
-  // release the slot.
-  const QdSessionStats& stats = session->qd.stats();
-  obs::QueryAuditRecord record;
-  record.set_engine("qd");
-  record.set_label(session->label);
-  record.seed = session->seed;
-  record.rounds = static_cast<std::uint64_t>(session->qd.round());
-  record.picks = session->picks;
-  record.results = result->TotalImages();
-  record.subqueries = stats.localized_subqueries;
-  record.boundary_expansions = stats.boundary_expansions;
-  record.expanded_subqueries = stats.expanded_subqueries;
-  record.nodes_visited = stats.knn_nodes_visited;
-  record.candidates_scored = stats.knn_candidates;
-  record.nodes_touched = stats.nodes_touched;
-  record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
-  record.rounds_ns = session->rounds_ns;
-  record.finalize_ns = finalize_ns;
-  record.total_ns = session->rounds_ns + finalize_ns;
-  record.trace_hi = session->trace.trace_hi;
-  record.trace_lo = session->trace.trace_lo;
-  // This thread's pending deltas first (pool workers flushed at task end;
-  // `Run` already joined them), then the cross-worker totals.
+  // release the slot. This thread's pending deltas first (pool workers
+  // flushed at task end; `Run` already joined them), then the totals.
   obs::FlushResourceAccounting();
-  const obs::ResourceUsage usage = session->resources.Snapshot();
-  record.distance_evals = usage.distance_evals;
-  record.feature_bytes = usage.feature_bytes;
-  record.leaves_visited = usage.leaves_visited;
-  record.tiles_gathered = usage.tiles_gathered;
-  record.container_allocs = usage.container_allocs;
-  record.alloc_bytes = usage.alloc_bytes;
-  record.cache_hits = usage.cache_hits;
-  record.cache_misses = usage.cache_misses;
+  const QdSessionStats& stats = session->qd.stats();
   const obs::SessionQuality quality = session->quality.Summary();
-  record.quality_jaccard_permille = quality.last_jaccard_permille;
-  record.quality_rank_churn = quality.last_rank_churn;
-  record.quality_rounds_to_stability = quality.rounds_to_stability;
-  record.quality_outcome = static_cast<std::uint64_t>(quality.outcome);
+  const obs::QueryAuditRecord record =
+      session->AuditRecord(quality, result->TotalImages(), finalize_ns);
   obs::QueryLog::Global().Record(record);
 
   // Per-session physical-work distributions, alongside the latency family.
@@ -793,12 +759,12 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     static obs::Histogram& cache_hits =
         obs::MetricsRegistry::Global().GetHistogram(
             "serve.session.cache_hits", "Cache hits per RF session");
-    cache_hits.Record(usage.cache_hits);
-    distance_evals.Record(usage.distance_evals);
-    feature_bytes.Record(usage.feature_bytes);
-    leaves_visited.Record(usage.leaves_visited);
-    tiles_gathered.Record(usage.tiles_gathered);
-    alloc_bytes.Record(usage.alloc_bytes);
+    cache_hits.Record(record.cache_hits);
+    distance_evals.Record(record.distance_evals);
+    feature_bytes.Record(record.feature_bytes);
+    leaves_visited.Record(record.leaves_visited);
+    tiles_gathered.Record(record.tiles_gathered);
+    alloc_bytes.Record(record.alloc_bytes);
   }
 
   // Session latency distribution, with the trace id attached as an
@@ -1181,13 +1147,11 @@ void ServeApp::FinishSessionObservability(const Session& session,
                                           std::uint64_t session_id,
                                           const obs::SessionQuality& quality,
                                           const obs::QueryAuditRecord& record) {
-  // Drain the session's index-access heatmap: this thread's pending slot
-  // deltas first (pool workers flushed at task end; at teardown there is no
-  // installed sink, so the flush is a no-op), then per-leaf rows into the
-  // global table, label-free aggregates into the registry, and the
-  // touched-leaf set into the co-access tracker.
-  obs::FlushAccessAccounting();
-  const std::vector<obs::LeafAccess> access = session.access.Snapshot();
+  // Drain the session's index-access heatmap (its sink was flushed before
+  // `record` was built): per-leaf rows into the global table, label-free
+  // aggregates into the registry, and the touched-leaf set into the
+  // co-access tracker.
+  const std::vector<obs::LeafAccess> access = session.resources.LeafSnapshot();
   obs::AccessStatsTable::Global().MergeSession(access);
   if (!access.empty()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

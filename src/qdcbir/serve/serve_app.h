@@ -15,7 +15,6 @@
 #include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/database.h"
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/http_server.h"
 #include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/query_log.h"
@@ -50,9 +49,10 @@ struct ServeOptions {
   std::string rfs_path;
   std::string address = "127.0.0.1";
   int port = 0;  ///< 0 binds an ephemeral port
-  /// Lanes of the connection-dispatch pool. Kept separate from the query
-  /// pool: a connection task blocks in recv() between keep-alive requests,
-  /// and must never be adopted by a query batch waiting on `Run`.
+  /// Keep-alive connections served at once, one connection-pool worker
+  /// each. Kept separate from the query pool: a connection task blocks in
+  /// recv() between keep-alive requests, and must never be adopted by a
+  /// query batch waiting on `Run`.
   std::size_t http_threads = 4;
   std::size_t display_size = 21;
   double boundary_threshold = 0.4;
@@ -194,19 +194,22 @@ class ServeApp {
     /// open). Carries the span-tree buffer while recording is active.
     obs::TraceContext trace;
     bool head_sampled = false;
-    /// Per-session resource accounting sink: every request handler installs
-    /// it around the engine calls, so pool workers executing subqueries
-    /// merge their physical-work deltas here. Snapshotted into the /queryz
-    /// record and the serve.session.* histograms at finalize.
+    /// Per-session resource sink: every request handler installs it with
+    /// the session's trace around the engine calls, so pool workers
+    /// executing subqueries merge their physical work and per-leaf scans
+    /// here. The totals feed the /queryz record and the serve.session.*
+    /// histograms; the leaf rows drain into the global AccessStatsTable
+    /// and the co-access tracker when the session ends.
     obs::ResourceAccumulator resources;
-    /// Per-leaf index access sink, installed alongside `resources` so pool
-    /// workers attribute scans/evals/bytes to the RFS leaf they touched.
-    /// Drained into the global AccessStatsTable and the co-access tracker
-    /// when the session ends (finalize or teardown).
-    obs::AccessAccumulator access;
     /// Passive quality observer: fed the ranked ids of every display and
     /// the final result; never influences ranking (see obs/quality_stats.h).
     obs::SessionQualityTracker quality;
+
+    /// The session's /queryz record. `results` and `finalize_ns` stay zero
+    /// for a session that never finalized.
+    obs::QueryAuditRecord AuditRecord(const obs::SessionQuality& summary,
+                                      std::uint64_t results,
+                                      std::uint64_t finalize_ns) const;
   };
 
   void LoadInBackground();
@@ -222,8 +225,8 @@ class ServeApp {
   obs::HttpResponse HandleIndexz(const obs::HttpRequest& request);
   obs::HttpResponse HandleHistoryz(const obs::HttpRequest& request);
 
-  /// Publishes quality metrics, fills the audit record's quality fields,
-  /// and emits the session's wide event. Called with the session off the
+  /// Drains the session's leaf rows into the index-access aggregates,
+  /// publishes quality metrics, and emits the session's wide event. Called with the session off the
   /// map (finalize) or during teardown (abandoned/errored) — purely
   /// observational, after the response is built.
   void FinishSessionObservability(const Session& session,

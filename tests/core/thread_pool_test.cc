@@ -6,19 +6,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "qdcbir/obs/metrics.h"
-#include "qdcbir/obs/span.h"
-#include "qdcbir/obs/trace_context.h"
-#include "qdcbir/obs/trace_tree.h"
 
 namespace qdcbir {
 namespace {
@@ -272,98 +267,6 @@ TEST(ThreadPoolTest, QueueDepthGaugeNeverGoesNegativeUnderScrapes) {
   EXPECT_GE(min_seen, base);
   // With every pool of this test destroyed, the accounting balances.
   EXPECT_EQ(depth.Value(), base);
-}
-
-TEST(ThreadPoolTest, TraceContextParentageSurvivesNestedParallelFor) {
-  // Regression for trace propagation: the pool captures the submitter's
-  // TraceContext at enqueue and restores it around each task, so spans
-  // opened inside pool tasks — including tasks of a nested ParallelFor and
-  // tasks the caller itself adopts while waiting — parent correctly under
-  // the submitter's open span.
-  obs::TraceContext context = obs::NewTraceContext();
-  context.buffer = std::make_shared<obs::TraceBuffer>();
-  const std::shared_ptr<obs::TraceBuffer> buffer = context.buffer;
-
-  std::atomic<std::size_t> wrong_trace{0};
-  std::atomic<std::size_t> outer_tasks{0};
-  std::atomic<std::size_t> inner_tasks{0};
-  std::uint64_t root_span = 0;
-  {
-    ThreadPool pool(4);
-    const obs::ScopedTraceContext scoped(context);
-    QDCBIR_SPAN("test.root");
-#ifndef QDCBIR_DISABLE_OBS
-    root_span = obs::CurrentTraceContext().span_id;
-    ASSERT_NE(root_span, 0u);
-#endif
-    pool.ParallelFor(0, 8, [&](std::size_t) {
-      const obs::TraceContext& outer = obs::CurrentTraceContext();
-      if (outer.trace_hi != context.trace_hi ||
-          outer.trace_lo != context.trace_lo) {
-        wrong_trace.fetch_add(1);
-      }
-      outer_tasks.fetch_add(1);
-      QDCBIR_SPAN("test.outer");
-      pool.ParallelFor(0, 4, [&](std::size_t) {
-        const obs::TraceContext& inner = obs::CurrentTraceContext();
-        if (inner.trace_lo != context.trace_lo) wrong_trace.fetch_add(1);
-        inner_tasks.fetch_add(1);
-        QDCBIR_SPAN("test.leaf");
-      });
-    });
-  }
-  EXPECT_EQ(wrong_trace.load(), 0u);
-  EXPECT_EQ(outer_tasks.load(), 8u);
-  EXPECT_EQ(inner_tasks.load(), 32u);
-
-#ifndef QDCBIR_DISABLE_OBS
-  // The recorded tree must link leaf → outer → root exactly.
-  const std::vector<obs::SpanRecord> spans = buffer->spans();
-  std::set<std::uint64_t> outer_ids;
-  std::size_t roots = 0, outers = 0, leaves = 0;
-  for (const obs::SpanRecord& span : spans) {
-    if (std::string(span.name) == "test.outer") outer_ids.insert(span.span_id);
-  }
-  for (const obs::SpanRecord& span : spans) {
-    const std::string name = span.name;
-    if (name == "test.root") {
-      ++roots;
-      EXPECT_EQ(span.span_id, root_span);
-      EXPECT_EQ(span.parent_id, 0u);
-    } else if (name == "test.outer") {
-      ++outers;
-      EXPECT_EQ(span.parent_id, root_span);
-    } else if (name == "test.leaf") {
-      ++leaves;
-      EXPECT_TRUE(outer_ids.count(span.parent_id) == 1)
-          << "leaf parented under unknown span " << span.parent_id;
-    }
-  }
-  EXPECT_EQ(roots, 1u);
-  EXPECT_EQ(outers, 8u);
-  EXPECT_EQ(leaves, 32u);
-  EXPECT_EQ(buffer->dropped(), 0u);
-#endif
-}
-
-TEST(ThreadPoolTest, PostedTaskCarriesSubmitterTraceContext) {
-  obs::TraceContext context = obs::NewTraceContext();
-  std::atomic<std::uint64_t> seen_lo{0};
-  std::atomic<bool> ran{false};
-  {
-    ThreadPool pool(2);
-    {
-      const obs::ScopedTraceContext scoped(context);
-      pool.Post([&] {
-        seen_lo.store(obs::CurrentTraceContext().trace_lo);
-        ran.store(true);
-      });
-    }
-    // The submitter's scope ended; the task still runs under the captured
-    // context (destruction drains the queue).
-  }
-  ASSERT_TRUE(ran.load());
-  EXPECT_EQ(seen_lo.load(), context.trace_lo);
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsUsableAndStable) {

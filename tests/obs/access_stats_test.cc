@@ -1,143 +1,41 @@
-// Per-leaf access accounting: TLS-batched taps, scoped sink install with
-// thread-pool propagation, the process-wide sharded table, the bounded
-// co-access tracker, and the labeled Prometheus rendering.
+// Per-leaf access telemetry: leaf-slot overflow in the session sink, the
+// process-wide sharded table, the bounded co-access tracker, and the
+// labeled Prometheus rendering. The sink's other behaviours are tested in
+// resource_stats_test.cc.
 
 #include "qdcbir/obs/access_stats.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "qdcbir/core/thread_pool.h"
+#include "qdcbir/obs/resource_stats.h"
 
 namespace qdcbir {
 namespace obs {
 namespace {
 
-LeafAccessCounts TotalOf(const std::vector<LeafAccess>& rows) {
-  LeafAccessCounts totals;
-  for (const LeafAccess& row : rows) totals.Add(row.counts);
-  return totals;
-}
-
-TEST(AccessTapsTest, NoOpWithoutInstalledSink) {
-  ASSERT_EQ(CurrentAccessAccumulator(), nullptr);
-  // Taps with no sink must be pure no-ops: nothing to merge anywhere, and
-  // installing a sink afterwards must not surface earlier increments.
-  CountLeafScan(7, 100, 800);
-  CountLeafCacheHit(7);
-  CountLeafCacheMiss(7);
-  AccessAccumulator sink;
-  {
-    const ScopedAccessAccounting scope(&sink);
-  }
-  EXPECT_TRUE(sink.empty());
-}
-
-TEST(AccessTapsTest, ScopedInstallMergesOnExitSorted) {
-  AccessAccumulator sink;
-  {
-    const ScopedAccessAccounting scope(&sink);
-    ASSERT_EQ(CurrentAccessAccumulator(), &sink);
-    CountLeafScan(9, 10, 80);
-    CountLeafScan(3, 5, 40);
-    CountLeafScan(9, 1, 8);
-    CountLeafCacheHit(3);
-    CountLeafCacheMiss(9);
-    // Nothing visible until the scope flushes.
-    EXPECT_TRUE(sink.empty());
-  }
-  const std::vector<LeafAccess> rows = sink.Snapshot();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].leaf, 3u);  // sorted by leaf id
-  EXPECT_EQ(rows[1].leaf, 9u);
-  EXPECT_EQ(rows[0].counts.scans, 1u);
-  EXPECT_EQ(rows[0].counts.distance_evals, 5u);
-  EXPECT_EQ(rows[0].counts.feature_bytes, 40u);
-  EXPECT_EQ(rows[0].counts.cache_hits, 1u);
-  EXPECT_EQ(rows[0].counts.cache_misses, 0u);
-  EXPECT_EQ(rows[1].counts.scans, 2u);
-  EXPECT_EQ(rows[1].counts.distance_evals, 11u);
-  EXPECT_EQ(rows[1].counts.feature_bytes, 88u);
-  EXPECT_EQ(rows[1].counts.cache_misses, 1u);
-}
-
 TEST(AccessTapsTest, SlotOverflowFlushesInsteadOfDropping) {
   // More distinct leaves than the TLS slot table holds: the overflow path
   // flushes to the sink and keeps counting — nothing is lost.
-  AccessAccumulator sink;
-  const std::size_t distinct = internal::kAccessTlsSlots * 3 + 1;
+  ResourceAccumulator sink;
+  const std::size_t distinct = internal::kLeafTlsSlots * 3 + 1;
   {
-    const ScopedAccessAccounting scope(&sink);
+    const ScopedResourceAccounting scope(&sink);
     for (std::size_t leaf = 0; leaf < distinct; ++leaf) {
       CountLeafScan(static_cast<AccessLeafId>(leaf), leaf + 1, 8 * (leaf + 1));
     }
   }
-  const std::vector<LeafAccess> rows = sink.Snapshot();
+  const std::vector<LeafAccess> rows = sink.LeafSnapshot();
   ASSERT_EQ(rows.size(), distinct);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].leaf, i);
     EXPECT_EQ(rows[i].counts.scans, 1u);
     EXPECT_EQ(rows[i].counts.distance_evals, i + 1);
   }
-}
-
-TEST(AccessTapsTest, MidScopeFlushMakesPendingDeltasVisible) {
-  AccessAccumulator sink;
-  const ScopedAccessAccounting scope(&sink);
-  CountLeafScan(5, 2, 16);
-  EXPECT_TRUE(sink.empty());
-  FlushAccessAccounting();
-  const std::vector<LeafAccess> rows = sink.Snapshot();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].leaf, 5u);
-  EXPECT_EQ(rows[0].counts.scans, 1u);
-}
-
-TEST(AccessTapsTest, NestedNullScopeDisablesAccounting) {
-  AccessAccumulator sink;
-  {
-    const ScopedAccessAccounting outer(&sink);
-    CountLeafScan(1, 1, 8);
-    {
-      const ScopedAccessAccounting inner(nullptr);
-      ASSERT_EQ(CurrentAccessAccumulator(), nullptr);
-      CountLeafScan(2, 100, 800);  // dropped: accounting off in this scope
-    }
-    CountLeafScan(1, 1, 8);
-  }
-  const std::vector<LeafAccess> rows = sink.Snapshot();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].leaf, 1u);
-  EXPECT_EQ(rows[0].counts.scans, 2u);
-}
-
-TEST(AccessTapsTest, ThreadPoolPropagatesSinkToWorkers) {
-  // Taps inside pool tasks must land in the enqueuer's accumulator, the
-  // same propagation contract as resource accounting and trace context.
-  AccessAccumulator sink;
-  ThreadPool pool(4);
-  {
-    const ScopedAccessAccounting scope(&sink);
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t leaf = 0; leaf < 32; ++leaf) {
-      tasks.push_back([leaf] {
-        CountLeafScan(static_cast<AccessLeafId>(leaf), 3, 24);
-        CountLeafCacheMiss(static_cast<AccessLeafId>(leaf));
-      });
-    }
-    pool.Run(std::move(tasks));
-    FlushAccessAccounting();
-  }
-  const std::vector<LeafAccess> rows = sink.Snapshot();
-  ASSERT_EQ(rows.size(), 32u);
-  const LeafAccessCounts totals = TotalOf(rows);
-  EXPECT_EQ(totals.scans, 32u);
-  EXPECT_EQ(totals.distance_evals, 96u);
-  EXPECT_EQ(totals.cache_misses, 32u);
+  EXPECT_EQ(sink.Snapshot().distance_evals, distinct * (distinct + 1) / 2);
 }
 
 TEST(AccessStatsTableTest, MergeSessionAggregatesAndCountsSessions) {

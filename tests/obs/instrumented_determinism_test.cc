@@ -16,8 +16,8 @@
 
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/synthesizer.h"
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/metrics.h"
+#include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/trace.h"
 #include "qdcbir/query/qd_engine.h"
@@ -142,7 +142,7 @@ TEST_F(InstrumentedDeterminismTest, IdenticalAcrossThreadCountsTracingOn) {
 }
 
 TEST_F(InstrumentedDeterminismTest, IdenticalWithAccessTelemetryOnVsOff) {
-  // Untracked baseline: no access sink installed, so every tap is the
+  // Untracked baseline: no resource sink installed, so every tap is the
   // accounting-off branch.
   ThreadPool pool1(1);
   QdSessionStats baseline_stats;
@@ -160,11 +160,11 @@ TEST_F(InstrumentedDeterminismTest, IdenticalWithAccessTelemetryOnVsOff) {
 
   for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(lanes);
-    obs::AccessAccumulator access;
+    obs::ResourceAccumulator access;
     QdSessionStats stats;
     QdResult result;
     {
-      const obs::ScopedAccessAccounting accounting(&access);
+      const obs::ScopedResourceAccounting accounting(&access);
       result = RunScriptedSession(&pool, &stats);
     }
     ExpectIdenticalResults(baseline, result);
@@ -172,7 +172,7 @@ TEST_F(InstrumentedDeterminismTest, IdenticalWithAccessTelemetryOnVsOff) {
 
     // The telemetry must actually have been on: the scripted session's
     // localized searches record per-leaf scans with distance evals.
-    const std::vector<obs::LeafAccess> rows = access.Snapshot();
+    const std::vector<obs::LeafAccess> rows = access.LeafSnapshot();
     ASSERT_FALSE(rows.empty()) << "access accounting captured nothing";
     obs::LeafAccessCounts totals;
     for (const obs::LeafAccess& row : rows) totals.Add(row.counts);

@@ -3,12 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "qdcbir/core/thread_pool.h"
 #include "qdcbir/obs/clock.h"
 #include "qdcbir/obs/span.h"
 #include "qdcbir/obs/span_stack.h"
@@ -82,85 +79,6 @@ TEST(SpanStackTest, ScopedTraceContextMirrorsTraceId) {
   }
   EXPECT_EQ(CurrentSpanStack().trace_hi, 0u);
   EXPECT_EQ(CurrentSpanStack().trace_lo, 0u);
-}
-
-TEST(SpanStackTest, ScopedSpanTagNullIsNoOp) {
-  const std::uint32_t base = CurrentSpanStack().depth.load();
-  {
-    const ScopedSpanTag tag(nullptr);
-    EXPECT_EQ(CurrentSpanStack().depth.load(), base);
-  }
-  EXPECT_EQ(CurrentSpanStack().depth.load(), base);
-}
-
-/// Collects every distinct span name observed across a parallel region.
-class NameCollector {
- public:
-  void Note() {
-    const char* name = CurrentSpanName();
-    std::lock_guard<std::mutex> lock(mu_);
-    names_.insert(name != nullptr ? name : "(null)");
-  }
-  std::set<std::string> names() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return names_;
-  }
-
- private:
-  std::mutex mu_;
-  std::set<std::string> names_;
-};
-
-TEST(SpanPropagationTest, PoolTasksAttributeToEnqueuingSpan) {
-  ThreadPool pool(4);
-  NameCollector collector;
-  {
-    QDCBIR_SPAN("test.enqueue");
-    pool.ParallelFor(0, 64, [&](std::size_t) { collector.Note(); });
-  }
-  // Both worker-executed and caller-inline iterations must see the
-  // enqueuing span as innermost.
-  EXPECT_EQ(collector.names(), std::set<std::string>{"test.enqueue"});
-  EXPECT_EQ(CurrentSpanStack().depth.load(), 0u);
-}
-
-TEST(SpanPropagationTest, NestedParallelForKeepsInnermostSpan) {
-  ThreadPool pool(4);
-  NameCollector collector;
-  {
-    QDCBIR_SPAN("test.outer");
-    pool.ParallelFor(0, 8, [&](std::size_t) {
-      QDCBIR_SPAN("test.nested");
-      pool.ParallelFor(0, 8, [&](std::size_t) { collector.Note(); });
-    });
-  }
-  // The inner region was enqueued under test.nested on whichever thread ran
-  // the outer iteration; no inner iteration may fall back to test.outer or
-  // to no span at all.
-  EXPECT_EQ(collector.names(), std::set<std::string>{"test.nested"});
-  EXPECT_EQ(CurrentSpanStack().depth.load(), 0u);
-}
-
-TEST(SpanPropagationTest, PostedTasksCarrySpanAndTrace) {
-  ThreadPool pool(2);
-  const TraceContext context = NewTraceContext();
-  std::mutex mu;
-  std::string seen_name;
-  std::uint64_t seen_hi = 0;
-  {
-    const ScopedTraceContext scoped(context);
-    QDCBIR_SPAN("test.post");
-    std::vector<std::function<void()>> tasks;
-    tasks.push_back([&] {
-      std::lock_guard<std::mutex> lock(mu);
-      const char* name = CurrentSpanName();
-      seen_name = name != nullptr ? name : "(null)";
-      seen_hi = CurrentSpanStack().trace_hi;
-    });
-    pool.Run(std::move(tasks));
-  }
-  EXPECT_EQ(seen_name, "test.post");
-  EXPECT_EQ(seen_hi, context.trace_hi);
 }
 
 ProfileSample MakeSample(const char* span, std::uint64_t hi,

@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -33,19 +34,24 @@ namespace qdcbir {
 namespace serve {
 namespace {
 
-/// One blocking HTTP exchange on a fresh connection; returns the full
-/// response (status line + headers + body) or "" on connect failure.
-std::string HttpRoundTrip(int port, const std::string& raw_request) {
+/// A loopback TCP connection to `port`, or -1.
+int ConnectLoopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// Sends one request on `fd` and reads its full response (status line +
+/// headers + body); stops early on close or a receive timeout.
+std::string Exchange(int fd, const std::string& raw_request) {
   (void)::send(fd, raw_request.data(), raw_request.size(), 0);
   std::string response;
   char chunk[4096];
@@ -61,6 +67,15 @@ std::string HttpRoundTrip(int port, const std::string& raw_request) {
         std::strtoull(response.c_str() + cl + 16, nullptr, 10));
     if (response.size() >= head_end + 4 + body_bytes) break;
   }
+  return response;
+}
+
+/// One blocking HTTP exchange on a fresh connection; returns the full
+/// response or "" on connect failure.
+std::string HttpRoundTrip(int port, const std::string& raw_request) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) return "";
+  std::string response = Exchange(fd, raw_request);
   ::close(fd);
   return response;
 }
@@ -468,13 +483,15 @@ TEST_F(ServeAppTest, TraceparentSessionRoundTripsThroughEveryObsSurface) {
   ASSERT_NE(roots, nullptr);
   for (const JsonValue& root : roots->items) CollectSpans(root, &spans);
   std::size_t descents = 0, finalizes = 0, subqueries = 0,
-              attributed_subqueries = 0;
+              attributed_subqueries = 0, api_feedbacks = 0, api_finalizes = 0;
   std::uint64_t self_sum = 0;
   for (const FlatSpan& span : spans) {
     EXPECT_LE(span.self_ns, span.duration_ns) << span.name;
     self_sum += span.self_ns;
     if (span.name == "qd.round.descent") ++descents;
     if (span.name == "qd.finalize") ++finalizes;
+    if (span.name == "serve.api.feedback") ++api_feedbacks;
+    if (span.name == "serve.api.finalize") ++api_finalizes;
     if (span.name == "qd.finalize.subquery") {
       ++subqueries;
       if (span.has_leaf_annotation) ++attributed_subqueries;
@@ -484,6 +501,10 @@ TEST_F(ServeAppTest, TraceparentSessionRoundTripsThroughEveryObsSurface) {
   EXPECT_GE(finalizes, 1u);
   EXPECT_GE(subqueries, 1u);
   EXPECT_EQ(attributed_subqueries, subqueries);
+  // One serve.api.feedback span per feedback request (the plain round and
+  // the finalizing one) and one serve.api.finalize span per session.
+  EXPECT_EQ(api_feedbacks, 2u);
+  EXPECT_EQ(api_finalizes, 1u);
   EXPECT_LE(self_sum, total_ns);
 #endif
 
@@ -1129,6 +1150,78 @@ TEST_F(ServeAppTest, IndexzJoinsTreeWithLiveAccessStats) {
   const std::string statusz = BodyOf(Get(app.port(), "/statusz"));
   EXPECT_NE(statusz.find("/indexz"), std::string::npos);
   EXPECT_NE(statusz.find("/historyz"), std::string::npos);
+  app.Stop();
+}
+
+TEST_F(ServeAppTest, QueryzTotalsEqualTheSessionsLeafRows) {
+  // Every distance evaluation and feature byte of a served QD session comes
+  // from a leaf scan, and one tap counts each scan into both the session
+  // totals and its leaf row: for a single session on a freshly loaded
+  // index, /queryz and the /indexz access totals must agree exactly.
+  ThreadPool pool(4);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  RunScriptedHttpSession(app.port(), "leaf-rows");
+  StatusOr<JsonValue> queryz = ParseJson(BodyOf(Get(app.port(), "/queryz")));
+  ASSERT_TRUE(queryz.ok());
+  const JsonValue* record = FindAuditRecord(*queryz, "leaf-rows");
+  ASSERT_NE(record, nullptr);
+  const std::uint64_t evals = record->U64Field("distance_evals", 0);
+  const std::uint64_t bytes = record->U64Field("feature_bytes", 0);
+  EXPECT_GT(evals, 0u);
+  EXPECT_GT(bytes, 0u);
+
+  StatusOr<JsonValue> indexz = ParseJson(BodyOf(Get(app.port(), "/indexz")));
+  ASSERT_TRUE(indexz.ok());
+  const JsonValue* totals = indexz->Find("access")->Find("totals");
+  ASSERT_NE(totals, nullptr);
+#ifndef QDCBIR_DISABLE_OBS
+  EXPECT_EQ(totals->U64Field("distance_evals", 0), evals);
+  EXPECT_EQ(totals->U64Field("feature_bytes", 0), bytes);
+#else
+  // Leaf rows compile out; the session totals above still count.
+  EXPECT_EQ(totals->U64Field("scans", 1), 0u);
+#endif
+  app.Stop();
+}
+
+TEST_F(ServeAppTest, EveryHttpThreadServesAnIdleKeepAliveConnection) {
+  // `http_threads` keep-alive connections are served at once: each one is
+  // answered while the earlier ones stay open and idle, instead of waiting
+  // for one of them to close or idle out (5 s).
+  ServeOptions options;
+  options.db_path = *db_path_;
+  const std::size_t lanes = options.http_threads;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  const std::string healthz = "GET /healthz HTTP/1.1\r\n\r\n";
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const int fd = ConnectLoopback(app.port());
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    timeval timeout{};
+    timeout.tv_sec = 2;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    EXPECT_NE(Exchange(fd, healthz).find("200 OK"), std::string::npos)
+        << "connection " << i << " of " << lanes;
+  }
+  // Still open and still served.
+  for (const int fd : fds) {
+    EXPECT_NE(Exchange(fd, healthz).find("200 OK"), std::string::npos);
+  }
+  for (const int fd : fds) ::close(fd);
   app.Stop();
 }
 

@@ -37,25 +37,6 @@ std::uint64_t Histogram::BucketUpperBound(std::size_t bucket) {
   return lower + width - 1;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-Histogram::CumulativeBuckets() const {
-  std::uint64_t merged[kNumBuckets] = {};
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const Shard& shard = shards_[s];
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      merged[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < kNumBuckets; ++b) {
-    if (merged[b] == 0) continue;
-    cumulative += merged[b];
-    out.emplace_back(BucketUpperBound(b), cumulative);
-  }
-  return out;
-}
-
 void Histogram::Record(std::uint64_t value) {
   Shard& shard = shards_[internal::ShardIndex(kShards)];
   shard.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
@@ -71,7 +52,8 @@ void Histogram::Record(std::uint64_t value) {
   }
 }
 
-Histogram::Snapshot Histogram::Snap() const {
+Histogram::Snapshot Histogram::Snap(
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>* cumulative) const {
   std::uint64_t merged[kNumBuckets] = {};
   Snapshot snap;
   snap.min = ~std::uint64_t{0};
@@ -80,12 +62,19 @@ Histogram::Snapshot Histogram::Snap() const {
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
       merged[b] += shard.buckets[b].load(std::memory_order_relaxed);
     }
-    snap.count += shard.count.load(std::memory_order_relaxed);
     snap.sum += shard.sum.load(std::memory_order_relaxed);
     const std::uint64_t mn = shard.min.load(std::memory_order_relaxed);
     const std::uint64_t mx = shard.max.load(std::memory_order_relaxed);
     if (mn < snap.min) snap.min = mn;
     if (mx > snap.max) snap.max = mx;
+  }
+  if (cumulative != nullptr) cumulative->clear();
+  for (std::size_t b = 0; b < kNumBuckets; ++b) {
+    if (merged[b] == 0) continue;
+    snap.count += merged[b];
+    if (cumulative != nullptr) {
+      cumulative->emplace_back(BucketUpperBound(b), snap.count);
+    }
   }
   if (snap.count == 0) {
     snap.min = 0;
@@ -119,6 +108,30 @@ Histogram::Snapshot Histogram::Snap() const {
   snap.p95 = percentile(0.95);
   snap.p99 = percentile(0.99);
   return snap;
+}
+
+std::uint64_t Histogram::Count() const {
+  std::uint64_t count = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    count += shards_[s].count.load(std::memory_order_relaxed);
+  }
+  return count;
+}
+
+std::uint64_t Histogram::CountAtOrBelow(std::uint64_t bound) const {
+  // Upper bounds increase with the bucket index, so the qualifying buckets
+  // are a prefix: up to `bound`'s bucket, or the one before it when that
+  // bucket's range reaches past `bound`.
+  std::size_t last = BucketOf(bound);
+  if (last > 0 && BucketUpperBound(last) > bound) --last;
+  std::uint64_t count = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const Shard& shard = shards_[s];
+    for (std::size_t b = 0; b <= last; ++b) {
+      count += shard.buckets[b].load(std::memory_order_relaxed);
+    }
+  }
+  return count;
 }
 
 void Histogram::Clear() {
@@ -200,19 +213,46 @@ void MetricsRegistry::RecordExemplar(const std::string& name,
   exemplars_[name][le] = HistogramExemplar{value, le, trace_id};
 }
 
+const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? nullptr : it->second.get();
+}
+
+const Histogram* MetricsRegistry::FindHistogram(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = histograms_.find(name);
+  return it == histograms_.end() ? nullptr : it->second.get();
+}
+
+void MetricsRegistry::SnapScalarsLocked(RegistrySnapshot* snap) const {
+  snap->counters.reserve(counters_.size());
+  for (const auto& [name, counter] : counters_) {
+    snap->counters.emplace_back(name, counter->Value());
+  }
+  snap->gauges.reserve(gauges_.size());
+  for (const auto& [name, gauge] : gauges_) {
+    snap->gauges.emplace_back(name,
+                              std::make_pair(gauge->Value(), gauge->Max()));
+  }
+}
+
+MetricsRegistry::RegistrySnapshot MetricsRegistry::ScalarSnapshot() const {
+  RegistrySnapshot snap;
+  std::lock_guard<std::mutex> lock(mu_);
+  SnapScalarsLocked(&snap);
+  return snap;
+}
+
 MetricsRegistry::RegistrySnapshot MetricsRegistry::Snapshot() const {
   RegistrySnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace_back(name, counter->Value());
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.emplace_back(name,
-                             std::make_pair(gauge->Value(), gauge->Max()));
-  }
+  SnapScalarsLocked(&snap);
   for (const auto& [name, histogram] : histograms_) {
-    snap.histograms.emplace_back(name, histogram->Snap());
-    snap.histogram_buckets.emplace_back(name, histogram->CumulativeBuckets());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
+    snap.histograms.emplace_back(name, histogram->Snap(&buckets));
+    snap.histogram_buckets.emplace_back(name, std::move(buckets));
   }
   snap.meta = meta_;
   for (const auto& [name, by_bucket] : exemplars_) {

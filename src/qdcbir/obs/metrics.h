@@ -145,12 +145,6 @@ class Histogram {
   /// upper bound of the bucket's value range.
   static std::uint64_t BucketUpperBound(std::size_t bucket);
 
-  /// Merged non-empty buckets as (upper_bound, cumulative_count) pairs with
-  /// strictly increasing bounds — the cumulative-bucket form Prometheus
-  /// histogram exposition needs. Safe to call while writers are active.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> CumulativeBuckets()
-      const;
-
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -167,9 +161,25 @@ class Histogram {
     }
   };
 
-  /// Merges the shards. Safe to call while writers are active; the result
-  /// is a consistent-enough view (each bucket read once, relaxed).
-  Snapshot Snap() const;
+  /// Merges the shards once. Safe to call while writers are active; the
+  /// result is a consistent-enough view (each bucket read once, relaxed),
+  /// and `count` is the sum of the merged buckets. When `cumulative` is
+  /// given it receives the merged non-empty buckets as (upper_bound,
+  /// cumulative_count) pairs with strictly increasing bounds — the
+  /// cumulative-bucket form Prometheus exposition needs — so its last
+  /// count equals `count` by construction.
+  Snapshot Snap(std::vector<std::pair<std::uint64_t, std::uint64_t>>*
+                    cumulative = nullptr) const;
+
+  /// Events recorded so far: the shards' event counts, without a bucket
+  /// merge.
+  std::uint64_t Count() const;
+
+  /// Events in the buckets whose upper bound is at most `bound`, merging
+  /// only the buckets up to `bound`'s own. With `Count()` this is the
+  /// good/total cut of a latency threshold, read at a cost that grows with
+  /// the threshold rather than with the whole bucket range.
+  std::uint64_t CountAtOrBelow(std::uint64_t bound) const;
 
   static std::size_t BucketOf(std::uint64_t value);
   /// Midpoint of a bucket's value range — the representative reported for
@@ -235,6 +245,12 @@ class MetricsRegistry {
   void RecordExemplar(const std::string& name, std::uint64_t value,
                       const std::string& trace_id);
 
+  /// The metric registered under `name`, or nullptr when none is — a
+  /// lookup that, unlike `Get*`, never registers anything. Readers that
+  /// need a few metrics resolve them once and then read them directly.
+  const Counter* FindCounter(const std::string& name) const;
+  const Histogram* FindHistogram(const std::string& name) const;
+
   /// Merged point-in-time view of every registered metric, sorted by name.
   struct RegistrySnapshot {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -254,6 +270,11 @@ class MetricsRegistry {
   };
   RegistrySnapshot Snapshot() const;
 
+  /// Counters and gauges only: no histogram is merged and no metadata is
+  /// copied (`histograms`, `histogram_buckets`, `meta` and `exemplars` stay
+  /// empty). The cheap read for samplers of scalar series.
+  RegistrySnapshot ScalarSnapshot() const;
+
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   /// Embedded verbatim in bench records and dumped by the tools' /
   /// benches' `--metrics-json` paths.
@@ -266,6 +287,7 @@ class MetricsRegistry {
 
  private:
   void RecordMeta(const std::string& name, const char* help);
+  void SnapScalarsLocked(RegistrySnapshot* snap) const;
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -119,9 +119,7 @@ std::string RenderPrometheusText(const MetricsRegistry& registry) {
     AppendHelp(out, family, MetaOf(snap, name));
     AppendType(out, family, "histogram");
     const auto exemplars_it = snap.exemplars.find(name);
-    std::uint64_t cumulative = 0;
     for (const auto& [upper, cum] : buckets) {
-      cumulative = cum;
       out += family + "_bucket{le=\"" + std::to_string(upper) + "\"} " +
              std::to_string(cum);
       if (exemplars_it != snap.exemplars.end()) {
@@ -136,12 +134,12 @@ std::string RenderPrometheusText(const MetricsRegistry& registry) {
       }
       out.push_back('\n');
     }
-    // Derive count from the same bucket merge so +Inf always equals
-    // _count, even if writers recorded between the two shard merges.
-    out += family + "_bucket{le=\"+Inf\"} " + std::to_string(cumulative) +
+    // `hs.count` and the buckets come from one shard merge, so +Inf
+    // equals _count by construction.
+    out += family + "_bucket{le=\"+Inf\"} " + std::to_string(hs.count) +
            "\n";
     out += family + "_sum " + std::to_string(hs.sum) + "\n";
-    out += family + "_count " + std::to_string(cumulative) + "\n";
+    out += family + "_count " + std::to_string(hs.count) + "\n";
   }
   return out;
 }

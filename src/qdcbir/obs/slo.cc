@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <utility>
 
 #include "qdcbir/obs/clock.h"
 #include "qdcbir/obs/log.h"
@@ -11,37 +13,30 @@ namespace obs {
 
 namespace {
 
-std::uint64_t CounterValue(const MetricsRegistry::RegistrySnapshot& snap,
-                           const std::string& name) {
-  for (const auto& [counter, value] : snap.counters) {
-    if (counter == name) return value;
-  }
-  return 0;
+std::uint64_t CounterValue(const Counter* counter) {
+  return counter == nullptr ? 0 : counter->Value();
 }
 
-/// (good, total) from a histogram's cumulative buckets: events at or below
-/// `threshold` are good. The HDR buckets quantize the cut to the first
-/// upper bound at/above the threshold (≤ ~6% value error, same as the
-/// percentile readouts).
+/// (good, total) from a histogram's buckets: events in buckets whose upper
+/// bound is at or below `threshold` are good. The HDR buckets quantize the
+/// cut to the last upper bound at/below the threshold (≤ ~6% value error,
+/// same as the percentile readouts); a threshold at or beyond the last
+/// non-empty bound counts everything recorded as good.
 std::pair<std::uint64_t, std::uint64_t> HistogramGoodAtOrBelow(
-    const MetricsRegistry::RegistrySnapshot& snap, const std::string& name,
-    double threshold) {
-  for (const auto& [hist, buckets] : snap.histogram_buckets) {
-    if (hist != name) continue;
-    std::uint64_t good = 0;
-    std::uint64_t total = 0;
-    for (const auto& [upper, cumulative] : buckets) {
-      total = cumulative;
-      if (static_cast<double>(upper) <= threshold) good = cumulative;
-    }
-    // Threshold beyond the last finite bound: everything recorded is good.
-    if (!buckets.empty() &&
-        threshold >= static_cast<double>(buckets.back().first)) {
-      good = total;
-    }
-    return {good, total};
+    const Histogram* histogram, double threshold) {
+  if (histogram == nullptr) return {0, 0};
+  std::uint64_t good = 0;
+  if (threshold >= 0x1p64) {
+    good = histogram->CountAtOrBelow(~std::uint64_t{0});
+  } else if (threshold >= 0.0) {
+    // Bucket bounds are integers: bound ≤ threshold iff bound ≤ floor.
+    good = histogram->CountAtOrBelow(static_cast<std::uint64_t>(threshold));
   }
-  return {0, 0};
+  // The buckets are read before the count and a writer bumps its bucket
+  // before the count, so a racing record can show in `good` only; the
+  // clamp keeps good ≤ total, and both stay monotonic across evaluations.
+  const std::uint64_t total = histogram->Count();
+  return {std::min(good, total), total};
 }
 
 void AppendDouble(std::string& out, double value) {
@@ -81,6 +76,8 @@ SloEngine::SloEngine(std::vector<SloDefinition> definitions,
   for (SloDefinition& def : definitions) {
     TrackedSlo tracked;
     tracked.def = std::move(def);
+    tracked.granularity_ns = std::max<std::uint64_t>(
+        1, tracked.def.fast_window_ns / kWindowSlotsPerFastWindow);
     const std::string base = "slo." + tracked.def.name;
     tracked.state_gauge = &registry_->GetGauge(
         base + ".state", "SLO state: 0 ok, 1 warn, 2 breach");
@@ -99,37 +96,46 @@ SloEngine::SloEngine(std::vector<SloDefinition> definitions,
   }
 }
 
-SloEngine::WindowSample SloEngine::Sample(
-    const MetricsRegistry::RegistrySnapshot& snap, const SloDefinition& def,
-    std::uint64_t now_ns) const {
+SloEngine::WindowSample SloEngine::Sample(TrackedSlo& slo,
+                                          std::uint64_t now_ns) const {
+  const SloDefinition& def = slo.def;
   WindowSample sample;
   sample.at_ns = now_ns;
   switch (def.kind) {
-    case SloKind::kLatencyQuantile: {
-      const auto [good, total] =
-          HistogramGoodAtOrBelow(snap, def.metric, def.threshold);
-      sample.good = good;
-      sample.total = total;
-      break;
-    }
-    case SloKind::kAvailability: {
-      sample.total = CounterValue(snap, def.metric);
-      const std::uint64_t bad = CounterValue(snap, def.bad_metric);
-      sample.good = sample.total > bad ? sample.total - bad : 0;
-      break;
-    }
-    case SloKind::kRatioFloor: {
-      sample.good = CounterValue(snap, def.metric);
-      sample.total = sample.good + CounterValue(snap, def.bad_metric);
-      break;
-    }
+    case SloKind::kLatencyQuantile:
     case SloKind::kHistogramFloor: {
+      if (slo.histogram == nullptr) {
+        slo.histogram = registry_->FindHistogram(def.metric);
+      }
       const auto [at_or_below, total] =
-          HistogramGoodAtOrBelow(snap, def.metric, def.threshold);
-      // good = strictly above the floor; a non-positive floor accepts
-      // everything (exported but never burning — opt-in floors).
-      sample.good = def.threshold <= 0.0 ? total : total - at_or_below;
+          HistogramGoodAtOrBelow(slo.histogram, def.threshold);
       sample.total = total;
+      if (def.kind == SloKind::kLatencyQuantile) {
+        sample.good = at_or_below;
+      } else {
+        // good = strictly above the floor; a non-positive floor accepts
+        // everything (exported but never burning — opt-in floors).
+        sample.good = def.threshold <= 0.0 ? total : total - at_or_below;
+      }
+      break;
+    }
+    case SloKind::kAvailability:
+    case SloKind::kRatioFloor: {
+      if (slo.counter == nullptr) {
+        slo.counter = registry_->FindCounter(def.metric);
+      }
+      if (slo.bad_counter == nullptr) {
+        slo.bad_counter = registry_->FindCounter(def.bad_metric);
+      }
+      const std::uint64_t value = CounterValue(slo.counter);
+      const std::uint64_t bad = CounterValue(slo.bad_counter);
+      if (def.kind == SloKind::kAvailability) {
+        sample.total = value;
+        sample.good = value > bad ? value - bad : 0;
+      } else {
+        sample.good = value;
+        sample.total = value + bad;
+      }
       break;
     }
   }
@@ -144,11 +150,14 @@ double SloEngine::BurnOver(const TrackedSlo& slo, std::uint64_t now_ns,
   // ring does not reach back that far, the oldest sample (partial window).
   const std::uint64_t start_ns =
       now_ns > window_ns ? now_ns - window_ns : 0;
-  const WindowSample* baseline = &slo.samples.front();
-  for (const WindowSample& sample : slo.samples) {
-    if (sample.at_ns > start_ns) break;
-    baseline = &sample;
-  }
+  auto after_start = std::upper_bound(
+      slo.samples.begin(), slo.samples.end(), start_ns,
+      [](std::uint64_t t, const WindowSample& sample) {
+        return t < sample.at_ns;
+      });
+  const WindowSample* baseline = after_start == slo.samples.begin()
+                                     ? &slo.samples.front()
+                                     : &*std::prev(after_start);
   if (baseline == &newest) return 0.0;
   const std::uint64_t total = newest.total - baseline->total;
   if (total == 0) return 0.0;
@@ -161,11 +170,12 @@ double SloEngine::BurnOver(const TrackedSlo& slo, std::uint64_t now_ns,
 }
 
 void SloEngine::Evaluate() {
-  const std::uint64_t now_ns = clock_();
-  const MetricsRegistry::RegistrySnapshot snap = registry_->Snapshot();
+  // Clock and sources are read under the lock, so concurrent evaluations
+  // append in clock order and never trip the monotonic guard below.
   std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t now_ns = clock_();
   for (TrackedSlo& slo : slos_) {
-    const WindowSample sample = Sample(snap, slo.def, now_ns);
+    const WindowSample sample = Sample(slo, now_ns);
     // Monotonic guard: a clock hiccup or reset registry must not make the
     // window deltas go negative.
     if (!slo.samples.empty() &&
@@ -174,18 +184,21 @@ void SloEngine::Evaluate() {
          sample.good < slo.samples.back().good)) {
       slo.samples.clear();
     }
-    slo.samples.push_back(sample);
+    // Coalesce: a sample in the newest sample's granularity slot replaces
+    // it. The oldest sample is never replaced, so the first window baseline
+    // survives a burst of evaluations right after it.
+    if (slo.samples.size() >= 2 &&
+        sample.at_ns / slo.granularity_ns ==
+            slo.samples.back().at_ns / slo.granularity_ns) {
+      slo.samples.back() = sample;
+    } else {
+      slo.samples.push_back(sample);
+    }
     // Prune to the slow window, keeping one baseline sample beyond it.
     const std::uint64_t horizon =
         now_ns > slo.def.slow_window_ns ? now_ns - slo.def.slow_window_ns : 0;
-    std::size_t keep_from = 0;
-    while (keep_from + 1 < slo.samples.size() &&
-           slo.samples[keep_from + 1].at_ns <= horizon) {
-      ++keep_from;
-    }
-    if (keep_from > 0) {
-      slo.samples.erase(slo.samples.begin(),
-                        slo.samples.begin() + static_cast<long>(keep_from));
+    while (slo.samples.size() >= 2 && slo.samples[1].at_ns <= horizon) {
+      slo.samples.pop_front();
     }
 
     slo.good = sample.good;
@@ -259,6 +272,15 @@ std::string SloEngine::RenderJson() const {
   }
   out += "]}";
   return out;
+}
+
+std::size_t SloEngine::window_samples() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t largest = 0;
+  for (const TrackedSlo& slo : slos_) {
+    largest = std::max(largest, slo.samples.size());
+  }
+  return largest;
 }
 
 SloState SloEngine::WorstState() const {

@@ -7,13 +7,26 @@
 ///
 /// An SLO reduces every source — latency histograms, availability counters,
 /// hit-rate counter pairs, quality-proxy histogram floors — to a cumulative
-/// (good, total) event pair read from the metrics registry. Each `Evaluate`
-/// call appends a timestamped sample of that pair to a per-SLO ring; burn
-/// rate over a window is the bad fraction of the window's event delta
-/// divided by the error budget (1 - objective). The state machine follows
-/// the multi-window alerting pattern: *breach* when both the fast and slow
-/// windows burn above their thresholds (the fast window confirms the
-/// problem is still happening), *warn* when only one does, *ok* otherwise.
+/// (good, total) event pair. Evaluation reads only each SLO's own source
+/// metrics, resolved once by name (never a whole-registry snapshot): a
+/// counter's value, or one histogram's event count plus its buckets up to
+/// the threshold's bucket. Its cost therefore does not grow with the number
+/// of registered metrics.
+///
+/// Each `Evaluate` call records a timestamped sample of that pair in a
+/// per-SLO ring, coalesced to a granularity of fast_window /
+/// `kWindowSlotsPerFastWindow` (1 s for the default 5 min window): a sample
+/// landing in the newest sample's slot overwrites it instead of being
+/// appended, so a ring holds at most ceil(slow_window / granularity) + 2
+/// samples (3602 by default) however often evaluation runs, and window
+/// baselines are found by binary search. Burn rate over a window is the bad
+/// fraction of the window's event delta divided by the error budget
+/// (1 - objective); window edges are exact to within one granularity slot.
+///
+/// The state machine follows the multi-window alerting pattern: *breach*
+/// when both the fast and slow windows burn above their thresholds (the
+/// fast window confirms the problem is still happening), *warn* when only
+/// one does, *ok* otherwise.
 ///
 /// Evaluation is pull-driven — the serve layer calls `Evaluate` from the
 /// `/metrics`, `/sloz`, and `/statusz` handlers and after each session
@@ -23,6 +36,7 @@
 /// injectable so tests can drive window arithmetic deterministically.
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -88,6 +102,9 @@ class SloEngine {
  public:
   using Clock = std::function<std::uint64_t()>;
 
+  /// Window samples are coalesced to fast_window_ns / this many slots.
+  static constexpr std::uint64_t kWindowSlotsPerFastWindow = 300;
+
   /// `registry` defaults to the process-global one; tests pass their own
   /// registry and clock to drive breaches deterministically.
   explicit SloEngine(std::vector<SloDefinition> definitions,
@@ -109,6 +126,9 @@ class SloEngine {
 
   std::size_t definition_count() const { return slos_.size(); }
 
+  /// Samples held by the largest per-SLO window ring.
+  std::size_t window_samples() const;
+
  private:
   struct WindowSample {
     std::uint64_t at_ns = 0;
@@ -117,7 +137,13 @@ class SloEngine {
   };
   struct TrackedSlo {
     SloDefinition def;
-    std::vector<WindowSample> samples;  ///< ascending by at_ns
+    std::uint64_t granularity_ns = 1;
+    /// Source metrics, looked up by name until they are registered (a
+    /// source registered later, e.g. on first use, is picked up then).
+    const Histogram* histogram = nullptr;  ///< histogram kinds
+    const Counter* counter = nullptr;      ///< counter kinds: `metric`
+    const Counter* bad_counter = nullptr;  ///< counter kinds: `bad_metric`
+    std::deque<WindowSample> samples;  ///< ascending by at_ns
     SloState state = SloState::kOk;
     double fast_burn = 0.0;
     double slow_burn = 0.0;
@@ -128,8 +154,7 @@ class SloEngine {
     Gauge* slow_gauge = nullptr;
   };
 
-  WindowSample Sample(const MetricsRegistry::RegistrySnapshot& snap,
-                      const SloDefinition& def, std::uint64_t now_ns) const;
+  WindowSample Sample(TrackedSlo& slo, std::uint64_t now_ns) const;
   static double BurnOver(const TrackedSlo& slo, std::uint64_t now_ns,
                          std::uint64_t window_ns);
 

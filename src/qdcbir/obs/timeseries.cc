@@ -115,7 +115,7 @@ std::size_t FlightRecorder::SeriesIdLocked(const std::string& name,
 }
 
 void FlightRecorder::SampleNow() {
-  const MetricsRegistry::RegistrySnapshot snap = registry_->Snapshot();
+  const MetricsRegistry::RegistrySnapshot snap = registry_->ScalarSnapshot();
   const std::uint64_t now_ns = clock_();
 
   std::uint64_t dropped_delta = 0;

@@ -9,6 +9,11 @@
 /// series as per-interval deltas and rates; slow-trace capture marks an
 /// event in the ring so the two surfaces join on time and trace id.
 ///
+/// A sample reads counters and gauges only (`ScalarSnapshot`): no histogram
+/// is merged, so a tick — and the inline sample the serve layer takes when
+/// a session crosses the slow threshold — costs one pass over the scalar
+/// metrics, not a merge of every histogram's shards.
+///
 /// Memory is bounded on every axis: the sample ring holds `capacity`
 /// snapshots, the series name table is append-only and capped at
 /// `max_series` (overflow ticks `history.series.dropped`), and event marks

@@ -727,6 +727,9 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   // The session is complete: publish it to the /queryz audit ring and
   // release the slot. This thread's pending deltas first (pool workers
   // flushed at task end; `Run` already joined them), then the totals.
+  // Everything from here through FinishSessionObservability is the
+  // per-session publish step, timed into obs.publish_ns.
+  const std::uint64_t publish_start_ns = obs::MonotonicNanos();
   obs::FlushResourceAccounting();
   const QdSessionStats& stats = session->qd.stats();
   const obs::SessionQuality quality = session->quality.Summary();
@@ -811,6 +814,12 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     sessions_.erase(session_id);
   }
   FinishSessionObservability(*session, session_id, quality, record);
+  static obs::Histogram& publish = obs::MetricsRegistry::Global().GetHistogram(
+      "obs.publish_ns",
+      "Telemetry publish cost per finalized RF session: audit record, "
+      "session histograms, trace retention, access drain, quality, SLO "
+      "evaluation and wide event");
+  publish.Record(obs::MonotonicNanos() - publish_start_ns);
 
   std::string out = "{\"session\":" + std::to_string(session_id) +
                     ",\"results\":[";

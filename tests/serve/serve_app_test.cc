@@ -1191,6 +1191,46 @@ TEST_F(ServeAppTest, QueryzTotalsEqualTheSessionsLeafRows) {
   app.Stop();
 }
 
+TEST_F(ServeAppTest, PublishCostIsRecordedOncePerFinalizedSession) {
+  ThreadPool pool(4);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  // The registry is process-global: count the samples this test adds.
+  const auto publish_count = [&] {
+    const std::map<std::string, double> samples = ScrapeMetrics(app.port());
+    const auto it = samples.find("qdcbir_obs_publish_ns_count");
+    return it == samples.end() ? 0.0 : it->second;
+  };
+  const double before = publish_count();
+  for (int i = 0; i < 3; ++i) {
+    RunScriptedHttpSession(app.port(), "publish-" + std::to_string(i));
+  }
+  // A feedback round without finalize, and a rejected finalize, publish
+  // nothing.
+  StatusOr<JsonValue> open = ParseJson(BodyOf(
+      Post(app.port(), "/api/query", "{\"seed\":5,\"label\":\"open\"}")));
+  ASSERT_TRUE(open.ok());
+  const std::string session =
+      std::to_string(open->U64Field("session", 0));
+  EXPECT_NE(Post(app.port(), "/api/feedback",
+                 "{\"session\":" + session + ",\"relevant\":[]}")
+                .find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(Post(app.port(), "/api/feedback",
+                 "{\"session\":" + session +
+                     ",\"relevant\":[],\"finalize\":25}")
+                .find("400"),
+            std::string::npos);
+  EXPECT_EQ(publish_count() - before, 3.0);
+  app.Stop();
+}
+
 TEST_F(ServeAppTest, EveryHttpThreadServesAnIdleKeepAliveConnection) {
   // `http_threads` keep-alive connections are served at once: each one is
   // answered while the earlier ones stay open and idle, instead of waiting

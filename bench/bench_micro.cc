@@ -29,6 +29,7 @@
 #include "qdcbir/dataset/synthesizer.h"
 #include "qdcbir/features/extractor.h"
 #include "qdcbir/features/wavelet_texture.h"
+#include "qdcbir/image/draw.h"
 #include "qdcbir/index/rstar_tree.h"
 #include "qdcbir/index/str_bulk_load.h"
 #include "qdcbir/query/knn.h"
@@ -247,6 +248,33 @@ void BM_RenderRecipe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RenderRecipe);
+
+/// The pixel-noise step of every render (one Box-Muller draw per channel
+/// pair), at each SIMD level; the two write identical bytes.
+void AddGaussianNoiseBench(benchmark::State& state, SimdLevel level) {
+  if (level == SimdLevel::kAvx2 && !Avx2Supported()) {
+    state.SkipWithError("host lacks AVX2+FMA");
+    return;
+  }
+  SubConceptRecipe recipe;
+  recipe.pixel_noise_stddev = 0.0;
+  Rng rng(9);
+  const Image clean = RenderRecipe(recipe, 48, 48, rng);
+  for (auto _ : state) {
+    Image image = clean;
+    AddGaussianNoiseAt(level, image, 4.0, rng);
+    benchmark::DoNotOptimize(image.pixels().data());
+    benchmark::ClobberMemory();
+  }
+}
+void BM_AddGaussianNoise_Scalar(benchmark::State& state) {
+  AddGaussianNoiseBench(state, SimdLevel::kScalar);
+}
+void BM_AddGaussianNoise_Avx2(benchmark::State& state) {
+  AddGaussianNoiseBench(state, SimdLevel::kAvx2);
+}
+BENCHMARK(BM_AddGaussianNoise_Scalar);
+BENCHMARK(BM_AddGaussianNoise_Avx2);
 
 /// Multimodal points (well-separated Gaussian modes) so relevance feedback
 /// decomposes into many neighborhoods; unimodal data would collapse the QD

@@ -21,6 +21,13 @@ std::uint64_t Rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
+GaussianPair BoxMuller(double u1, double u2) {
+  if (u1 < 1e-300) u1 = 1e-300;
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  return {r * std::cos(theta), r * std::sin(theta)};
+}
+
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(sm);
@@ -41,6 +48,10 @@ std::uint64_t Rng::NextUint64() {
 double Rng::UniformDouble() {
   // 53 high bits -> double in [0, 1).
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+}
+
+void Rng::FillUniform(double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = UniformDouble();
 }
 
 double Rng::UniformDouble(double lo, double hi) {
@@ -70,14 +81,12 @@ double Rng::Gaussian() {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
   }
-  double u1 = UniformDouble();
-  double u2 = UniformDouble();
-  if (u1 < 1e-300) u1 = 1e-300;
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
+  const double u1 = UniformDouble();
+  const double u2 = UniformDouble();
+  const GaussianPair pair = BoxMuller(u1, u2);
+  cached_gaussian_ = pair.sin_part;
   has_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  return pair.cos_part;
 }
 
 double Rng::Gaussian(double mean, double stddev) {

@@ -1,10 +1,25 @@
 #ifndef QDCBIR_CORE_RNG_H_
 #define QDCBIR_CORE_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace qdcbir {
+
+/// The two normals of one Box-Muller draw: `Rng::Gaussian()` returns
+/// `cos_part` and caches `sin_part` for its next call.
+struct GaussianPair {
+  double cos_part;
+  double sin_part;
+};
+
+/// Box-Muller transform of two uniforms in [0, 1): the exact libm
+/// expression behind `Rng::Gaussian()`. The vectorized pixel-noise kernel
+/// (image/noise_avx2.cc) re-derives near-boundary channels through this
+/// same function, so the two cannot drift apart. Defined in rng.cc, which
+/// is built without -mfma.
+GaussianPair BoxMuller(double u1, double u2);
 
 /// Deterministic pseudo-random number generator (xoshiro256**, seeded via
 /// SplitMix64).
@@ -23,6 +38,9 @@ class Rng {
   /// Uniform double in [0, 1).
   double UniformDouble();
 
+  /// Writes the next `n` values of `UniformDouble()`, in call order.
+  void FillUniform(double* out, std::size_t n);
+
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double UniformDouble(double lo, double hi);
 
@@ -37,6 +55,10 @@ class Rng {
 
   /// Normal sample with the given mean and standard deviation.
   double Gaussian(double mean, double stddev);
+
+  /// True when the next `Gaussian()` returns the cached sine half of the
+  /// previous Box-Muller pair instead of drawing two uniforms.
+  bool has_cached_gaussian() const { return has_cached_gaussian_; }
 
   /// Returns true with probability `p` (clamped to [0, 1]).
   bool Bernoulli(double p);

@@ -113,18 +113,32 @@ void HorizontalGradient(Image& img, Rgb left, Rgb right) {
 }
 
 void AddGaussianNoise(Image& img, double stddev, Rng& rng) {
-  if (stddev <= 0.0) return;
+  AddGaussianNoiseAt(ActiveKernels().level, img, stddev, rng);
+}
+
+std::size_t AddGaussianNoiseAt(SimdLevel level, Image& img, double stddev,
+                               Rng& rng) {
+  if (stddev <= 0.0) return 0;
+#if defined(__x86_64__) || defined(_M_X64)
+  if (level == SimdLevel::kAvx2 && Avx2Supported() &&
+      stddev <= internal::kAvx2NoiseMaxStddev) {
+    static_assert(sizeof(Rgb) == 3, "channels must be densely interleaved");
+    return internal::Avx2AddGaussianNoise(
+        reinterpret_cast<std::uint8_t*>(img.pixels().data()),
+        img.pixels().size() * 3, stddev, rng);
+  }
+#else
+  (void)level;
+#endif
   auto perturb = [&](std::uint8_t v) {
-    const double nv = v + rng.Gaussian(0.0, stddev);
-    if (nv <= 0.0) return static_cast<std::uint8_t>(0);
-    if (nv >= 255.0) return static_cast<std::uint8_t>(255);
-    return static_cast<std::uint8_t>(std::lround(nv));
+    return internal::PerturbChannel(v, rng.Gaussian(0.0, stddev));
   };
   for (Rgb& p : img.pixels()) {
     p.r = perturb(p.r);
     p.g = perturb(p.g);
     p.b = perturb(p.b);
   }
+  return 0;
 }
 
 std::vector<Point2> RotatePoints(const std::vector<Point2>& points,

@@ -1,8 +1,12 @@
 #ifndef QDCBIR_IMAGE_DRAW_H_
 #define QDCBIR_IMAGE_DRAW_H_
 
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "qdcbir/core/distance_kernels.h"
 #include "qdcbir/core/rng.h"
 #include "qdcbir/image/image.h"
 
@@ -42,8 +46,18 @@ void VerticalGradient(Image& img, Rgb top, Rgb bottom);
 /// Fills the image with a horizontal gradient from `left` to `right`.
 void HorizontalGradient(Image& img, Rgb left, Rgb right);
 
-/// Adds independent Gaussian noise (stddev in 8-bit units) to every channel.
+/// Adds independent Gaussian noise (stddev in 8-bit units) to every channel,
+/// at the dispatched `ActiveKernels().level`. Every level writes the same
+/// bytes and leaves `rng` in the same state (docs/simd.md).
 void AddGaussianNoise(Image& img, double stddev, Rng& rng);
+
+/// `AddGaussianNoise` at an explicit level; kAvx2 on a host without AVX2,
+/// or with a stddev above `internal::kAvx2NoiseMaxStddev`, runs the scalar
+/// loop. Returns how many Box-Muller pairs the AVX2 kernel re-derived
+/// through the exact libm path (always 0 for scalar), so tests can show
+/// that path runs.
+std::size_t AddGaussianNoiseAt(SimdLevel level, Image& img, double stddev,
+                               Rng& rng);
 
 /// Rotates `points` by `angle_rad` around `center` (returns new points).
 std::vector<Point2> RotatePoints(const std::vector<Point2>& points,
@@ -54,6 +68,29 @@ std::vector<Point2> RotatePoints(const std::vector<Point2>& points,
 std::vector<Point2> RegularPolygon(Point2 center, double r, int n,
                                    double phase_rad = 0.0);
 
+namespace internal {
+
+/// Largest stddev the AVX2 noise kernel takes; its error bound (and so its
+/// fallback margin) is stated up to here. Rendering uses single digits.
+inline constexpr double kAvx2NoiseMaxStddev = 1024.0;
+
+/// The reference per-channel step: `v + noise`, clamped to [0, 255] and
+/// rounded half away from zero. Shared by the scalar loop and the AVX2
+/// kernel's exact path.
+inline std::uint8_t PerturbChannel(std::uint8_t v, double noise) {
+  const double nv = v + noise;
+  if (nv <= 0.0) return 0;
+  if (nv >= 255.0) return 255;
+  return static_cast<std::uint8_t>(std::lround(nv));
+}
+
+/// AVX2 kernel over `count` interleaved channel bytes (image/noise_avx2.cc).
+/// Requires `Avx2Supported()` and 0 < stddev <= kAvx2NoiseMaxStddev.
+/// Returns the number of pairs re-derived through `BoxMuller`.
+std::size_t Avx2AddGaussianNoise(std::uint8_t* channels, std::size_t count,
+                                 double stddev, Rng& rng);
+
+}  // namespace internal
 }  // namespace qdcbir
 
 #endif  // QDCBIR_IMAGE_DRAW_H_

@@ -876,15 +876,24 @@ obs::HttpResponse ServeApp::HandleApiRep(const obs::HttpRequest& request) {
   }
   const ImageId id = static_cast<ImageId>(parsed);
 
-  // The whole render runs under `sessions_mu_`: readiness flips (reload)
-  // happen under the same lock, so observing kServing here pins the corpus
-  // for the duration. Renders are small (one image) and usually cached.
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  if (readiness() != Readiness::kServing) {
-    return JsonError(503, std::string("not ready: ") +
-                              ReadinessName(readiness()));
+  // Only the readiness and id checks and the pin run under `sessions_mu_`.
+  // Reload flips readiness under the same lock and refuses while
+  // `reps_in_flight_` is non-zero, so db_ stays alive for the unlocked
+  // cache lookup, render and insert, and a cold render never stalls other
+  // sessions' lookups, opens and erases.
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    if (readiness() != Readiness::kServing) {
+      return JsonError(503, std::string("not ready: ") +
+                                ReadinessName(readiness()));
+    }
+    if (parsed >= db_->size()) return JsonError(404, "no such image");
+    reps_in_flight_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (parsed >= db_->size()) return JsonError(404, "no such image");
+  struct Unpin {
+    std::atomic<std::uint32_t>& count;
+    ~Unpin() { count.fetch_sub(1, std::memory_order_release); }
+  } unpin{reps_in_flight_};
 
   constexpr const char* kPpmType = "image/x-portable-pixmap";
   cache::CacheKey key;
@@ -925,6 +934,13 @@ obs::HttpResponse ServeApp::HandleApiReload(const obs::HttpRequest& request) {
     if (!sessions_.empty()) {
       return JsonError(409, std::to_string(sessions_.size()) +
                                 " sessions open; retry when drained");
+    }
+    // Thumbnail renders read db_ outside the lock (HandleApiRep); each
+    // pinned itself under this lock while kServing held.
+    if (const std::uint32_t reps =
+            reps_in_flight_.load(std::memory_order_acquire)) {
+      return JsonError(409, std::to_string(reps) +
+                                " renders in flight; retry when drained");
     }
     const Readiness state = readiness();
     if (state != Readiness::kServing && state != Readiness::kFailed) {

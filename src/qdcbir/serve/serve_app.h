@@ -139,8 +139,9 @@ struct ServeOptions {
 ///   POST /api/query     open a session, returns the first display
 ///   POST /api/feedback  mark relevant images; optionally finalize
 ///   GET  /api/rep?id=N  rendered representative image (PPM, cached)
-///   POST /api/reload    re-load the snapshot; 409 while sessions are open;
-///                       flushes the result cache on success
+///   POST /api/reload    re-load the snapshot; 409 while sessions are open
+///                       or renders are in flight; flushes the result cache
+///                       on success
 ///
 /// Both API endpoints accept a W3C `traceparent` request header. The trace
 /// id given at session open identifies the whole session; every response
@@ -253,9 +254,9 @@ class ServeApp {
 
   /// Loaded corpus; written by the loader thread before `kServing` is
   /// published, read-only afterwards. `/api/reload` replaces both — it
-  /// refuses while sessions are open and flips readiness under
-  /// `sessions_mu_` first, so no handler can observe a half-swapped corpus
-  /// (see HandleApiReload).
+  /// refuses while sessions are open or thumbnail renders are in flight,
+  /// and flips readiness under `sessions_mu_` first, so no handler can
+  /// observe a half-swapped corpus (see HandleApiReload).
   std::optional<ImageDatabase> db_;
   std::optional<RfsTree> rfs_;
 
@@ -270,6 +271,10 @@ class ServeApp {
 
   std::mutex sessions_mu_;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
+  /// `/api/rep` renders reading db_ outside `sessions_mu_`. Incremented
+  /// under it (only while kServing), decremented without it; `/api/reload`
+  /// answers 409 while non-zero, as it does for open sessions.
+  std::atomic<std::uint32_t> reps_in_flight_{0};
   std::uint64_t next_session_id_ = 1;
   /// Sessions ever opened, for head sampling (every Nth); under
   /// `sessions_mu_`.

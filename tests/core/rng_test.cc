@@ -1,6 +1,7 @@
 #include "qdcbir/core/rng.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -84,6 +85,29 @@ TEST(RngTest, GaussianWithParameters) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += rng.Gaussian(10.0, 2.0);
   EXPECT_NEAR(sum / n, 10.0, 0.1);
+}
+
+TEST(RngTest, GaussianIsBoxMullerOfTwoUniformsCosineFirst) {
+  Rng rng(31), uniforms(31);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_FALSE(rng.has_cached_gaussian());
+    const double u1 = uniforms.UniformDouble();
+    const double u2 = uniforms.UniformDouble();
+    const GaussianPair pair = BoxMuller(u1, u2);
+    EXPECT_EQ(rng.Gaussian(), pair.cos_part);
+    EXPECT_TRUE(rng.has_cached_gaussian());
+    EXPECT_EQ(rng.Gaussian(), pair.sin_part);
+  }
+  // u1 == 0 is clamped, not log(0).
+  EXPECT_TRUE(std::isfinite(BoxMuller(0.0, 0.3).cos_part));
+}
+
+TEST(RngTest, FillUniformMatchesUniformDoubleCalls) {
+  Rng a(37), b(37);
+  std::vector<double> filled(257);
+  a.FillUniform(filled.data(), filled.size());
+  for (double u : filled) EXPECT_EQ(u, b.UniformDouble());
+  EXPECT_EQ(a.NextUint64(), b.NextUint64());
 }
 
 TEST(RngTest, BernoulliEdgeCases) {

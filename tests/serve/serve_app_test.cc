@@ -11,17 +11,20 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/database_io.h"
 #include "qdcbir/dataset/synthesizer.h"
+#include "qdcbir/image/ppm_io.h"
 #include "qdcbir/obs/log.h"
 #include "qdcbir/obs/prom_export.h"
 #include "qdcbir/obs/trace_tree.h"
@@ -846,6 +849,68 @@ TEST_F(ServeAppTest, ReloadFlushesCacheAndRefusesWhileSessionsOpen) {
   const JsonValue* record = FindAuditRecord(*queryz, "reload-warm");
   ASSERT_NE(record, nullptr);
   EXPECT_GT(record->U64Field("cache_hits", 0), 0u);
+  app.Stop();
+}
+
+TEST_F(ServeAppTest, ReloadRefusesWhileThumbnailRendersAreInFlight) {
+  // /api/rep renders outside the session lock, pinning the corpus with an
+  // in-flight count: reload answers 409 while a render runs and never
+  // swaps db_ under one, so every 200 carries the right bytes.
+  ThreadPool pool(2);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  options.cache_mb = 0;  // every fetch renders
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  StatusOr<ImageDatabase> db = DatabaseIo::LoadDatabase(*db_path_);
+  ASSERT_TRUE(db.ok());
+  std::vector<std::string> expected;
+  for (ImageId id = 0; id < 16; ++id) {
+    expected.push_back(EncodePpm(db->Render(id)));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> served{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> fetchers;
+  for (int t = 0; t < 3; ++t) {
+    fetchers.emplace_back([&, t] {
+      for (std::size_t i = static_cast<std::size_t>(t);
+           !stop.load(std::memory_order_relaxed); ++i) {
+        const std::size_t id = i % expected.size();
+        const std::string reply =
+            Get(app.port(), "/api/rep?id=" + std::to_string(id));
+        if (reply.find("200 OK") != std::string::npos &&
+            BodyOf(reply) == expected[id]) {
+          served.fetch_add(1);
+        } else if (reply.find("503") == std::string::npos) {
+          wrong.fetch_add(1);  // neither the right bytes nor "reloading"
+        }
+      }
+    });
+  }
+  int in_flight_refusals = 0;
+  for (int attempt = 0; attempt < 400 && in_flight_refusals == 0;
+       ++attempt) {
+    const std::string reply = Post(app.port(), "/api/reload", "");
+    if (reply.find("renders in flight") != std::string::npos) {
+      EXPECT_NE(reply.find("409"), std::string::npos) << reply;
+      ++in_flight_refusals;
+    } else if (reply.find("202") == std::string::npos ||
+               !app.WaitUntilReady(30000)) {
+      ADD_FAILURE() << reply;
+      break;
+    }
+  }
+  stop.store(true);
+  for (std::thread& fetcher : fetchers) fetcher.join();
+  EXPECT_EQ(in_flight_refusals, 1);
+  EXPECT_GT(served.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
   app.Stop();
 }
 

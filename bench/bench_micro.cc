@@ -355,10 +355,10 @@ BENCHMARK(BM_QdLocalizedSubqueries_Threads)
 /// The repeat-scan payoff of the result cache: the same scripted session
 /// finalized over and over, uncached (arg 0) vs through a CacheManager
 /// (arg 1). With the cache the first iteration computes and inserts; every
-/// later one serves the finalized top-k (and, beneath it, the per-leaf
-/// scans) from memory. Rankings are byte-identical either way — the
-/// speedup is the whole point, and the cache hit/miss counters land in the
-/// exported metrics snapshot ($QDCBIR_METRICS_JSON / the bench "obs" key).
+/// later one serves the finalized top-k from memory. Rankings are
+/// byte-identical either way — the speedup is the whole point, and the
+/// cache hit/miss counters land in the exported metrics snapshot
+/// ($QDCBIR_METRICS_JSON / the bench "obs" key).
 void BM_QdFinalizeRepeat_Cache(benchmark::State& state) {
   const RfsTree& rfs = SweepRfs();
   ThreadPool pool(4);

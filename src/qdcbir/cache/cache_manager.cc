@@ -62,7 +62,6 @@ struct CacheMetrics {
 
 const char* CacheKindName(CacheKind kind) {
   switch (kind) {
-    case CacheKind::kLeafScan: return "leaf_scan";
     case CacheKind::kRepresentatives: return "representatives";
     case CacheKind::kTopK: return "topk";
   }

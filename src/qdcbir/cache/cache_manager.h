@@ -17,23 +17,22 @@ namespace cache {
 /// behind a key is fixed by the inserting call site's convention and
 /// `CacheManager::LookupAs<T>` casts are safe by construction.
 enum class CacheKind : std::uint8_t {
-  kLeafScan = 0,         ///< per-leaf localized-scan rankings
-  kRepresentatives = 1,  ///< rendered representative payloads (PPM bytes)
-  kTopK = 2,             ///< finalized top-k results for session replays
+  kRepresentatives = 0,  ///< rendered representative payloads (PPM bytes)
+  kTopK = 1,             ///< finalized QD results for session replays
 };
 
-inline constexpr std::size_t kNumCacheKinds = 3;
+inline constexpr std::size_t kNumCacheKinds = 2;
 
 const char* CacheKindName(CacheKind kind);
 
 /// A cache identity: the entry kind plus three caller-chosen 64-bit words.
-/// Callers put structural ids (node/leaf id, engine tag) in the open words
-/// and fold everything else that determines the value — query bytes, weight
-/// bytes, k, SIMD level — through `HashBytes`/`HashCombine`. Two keys equal
+/// Callers put structural ids (image id, SIMD level) in the open words
+/// and fold everything else that determines the value — feedback bytes,
+/// weight bytes, k — through `HashBytes`/`HashCombine`. Two keys equal
 /// ⇒ the cached value is byte-identical to recomputation, which is the
 /// whole determinism contract (docs/caching.md).
 struct CacheKey {
-  CacheKind kind = CacheKind::kLeafScan;
+  CacheKind kind = CacheKind::kTopK;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::uint64_t c = 0;
@@ -181,7 +180,7 @@ class CacheManager {
     std::size_t charged_bytes = 0;
     std::uint64_t insert_seq = 0;  ///< eviction tie-break: oldest first
     std::uint16_t frequency = 0;   ///< hit count, wraps 65535→0 (aging)
-    CacheKind kind = CacheKind::kLeafScan;
+    CacheKind kind = CacheKind::kTopK;
   };
 
   struct Shard {

@@ -64,21 +64,14 @@ struct LeafAccessCounts {
   std::uint64_t scans = 0;           ///< localized scans over this leaf
   std::uint64_t distance_evals = 0;  ///< query × candidate distances in them
   std::uint64_t feature_bytes = 0;   ///< feature-vector bytes read from it
-  std::uint64_t cache_hits = 0;      ///< scans answered from the result cache
-  std::uint64_t cache_misses = 0;    ///< scans that had to touch the leaf
 
   void Add(const LeafAccessCounts& other) {
     scans += other.scans;
     distance_evals += other.distance_evals;
     feature_bytes += other.feature_bytes;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
   }
 
-  bool IsZero() const {
-    return (scans | distance_evals | feature_bytes | cache_hits |
-            cache_misses) == 0;
-  }
+  bool IsZero() const { return (scans | distance_evals | feature_bytes) == 0; }
 };
 
 /// One row of a per-leaf snapshot.
@@ -214,25 +207,6 @@ inline void CountLeafScan([[maybe_unused]] AccessLeafId leaf,
   slot.scans += 1;
   slot.distance_evals += distance_evals;
   slot.feature_bytes += feature_bytes;
-#endif
-}
-
-/// Per-leaf result-cache outcome of a scan. Leaf rows only: no-ops under
-/// `-DQDCBIR_OBS=OFF`.
-inline void CountLeafCacheHit([[maybe_unused]] AccessLeafId leaf) {
-#ifndef QDCBIR_DISABLE_OBS
-  internal::ResourceTls& state = internal::ResourceState();
-  if (state.accumulator != nullptr) {
-    internal::LeafSlot(state, leaf).cache_hits += 1;
-  }
-#endif
-}
-inline void CountLeafCacheMiss([[maybe_unused]] AccessLeafId leaf) {
-#ifndef QDCBIR_DISABLE_OBS
-  internal::ResourceTls& state = internal::ResourceState();
-  if (state.accumulator != nullptr) {
-    internal::LeafSlot(state, leaf).cache_misses += 1;
-  }
 #endif
 }
 

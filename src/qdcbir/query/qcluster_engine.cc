@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
-#include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/cluster/kmeans.h"
 #include "qdcbir/core/distance_kernels.h"
 #include "qdcbir/core/feature_block.h"
@@ -27,38 +25,6 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
     return Status::FailedPrecondition("Qcluster has no relevant feedback yet");
   }
   const std::vector<FeatureVector>& table = db_->features();
-
-  // Finalized-ranking cache: the relevant set plus the clustering and scan
-  // configuration fully determine the ranking (the chunked scan's
-  // (distance, id) order is total), so identical replays skip the k-means
-  // elbow and the whole-table scan. The stat deltas below are replayed on
-  // a hit to keep the logical cost model identical.
-  cache::CacheManager* cache_mgr = options_.cache;
-  cache::CacheKey cache_key;
-  std::uint64_t cache_token = 0;
-  if (cache_mgr != nullptr) {
-    cache_key.kind = cache::CacheKind::kTopK;
-    cache_key.a = cache::HashBytes(relevant().data(),
-                                   relevant().size() * sizeof(ImageId));
-    std::uint64_t config_hash = cache::HashCombine(0xcbf29ce484222325ull, k);
-    config_hash = cache::HashCombine(config_hash, options_.kmeans_seed);
-    config_hash = cache::HashCombine(
-        config_hash, static_cast<std::uint64_t>(options_.max_clusters));
-    cache_key.b = config_hash;
-    // Low byte tags the engine family (2 = qcluster) so qd finalize keys
-    // can never alias these.
-    cache_key.c =
-        (static_cast<std::uint64_t>(ActiveKernels().level) << 8) | 2;
-    std::shared_ptr<const Ranking> hit =
-        cache_mgr->LookupAs<Ranking>(cache_key, &cache_token);
-    if (hit != nullptr) {
-      stats_.global_knn_computations += 1;
-      stats_.candidates_scanned += table.size();
-      obs::CountLeafCacheHit(obs::kTableScanLeaf);
-      return *hit;
-    }
-    obs::CountLeafCacheMiss(obs::kTableScanLeaf);
-  }
 
   std::vector<FeatureVector> relevant_points;
   relevant_points.reserve(relevant().size());
@@ -177,11 +143,6 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
   }
   std::sort(ranking.begin(), ranking.end(), better);
   if (ranking.size() > k) ranking.resize(k);
-  if (cache_mgr != nullptr) {
-    cache_mgr->InsertAs<Ranking>(
-        cache_key, std::make_shared<const Ranking>(ranking),
-        sizeof(Ranking) + ranking.size() * sizeof(KnnMatch), cache_token);
-  }
   return ranking;
 }
 

@@ -7,10 +7,6 @@ namespace qdcbir {
 
 class ThreadPool;
 
-namespace cache {
-class CacheManager;
-}  // namespace cache
-
 /// Options of the Qcluster-style engine.
 struct QclusterOptions {
   std::size_t display_size = 21;
@@ -24,11 +20,6 @@ struct QclusterOptions {
   /// pool sizes: the (distance, id) order is total, so the global top k is
   /// unique however the scan is partitioned.
   ThreadPool* pool = nullptr;
-  /// Optional finalized-ranking cache (kTopK; nullptr = uncached). The key
-  /// covers the relevant set, k-means configuration, k, and SIMD level, so
-  /// a replayed session skips both the elbow k-means and the chunked scan
-  /// while producing byte-identical rankings and engine stats.
-  cache::CacheManager* cache = nullptr;
 };
 
 /// A Qcluster-style baseline (Kim & Chung, SIGMOD'03; the paper's §2

@@ -57,37 +57,23 @@ struct QdCounters {
     }();
     return *counters;
   }
+
+  /// Mirrors the finalize fields of a `QdSessionStats` delta.
+  void AddFinalize(const QdSessionStats& delta) {
+    boundary_expansions.Add(delta.boundary_expansions);
+    expanded_subqueries.Add(delta.expanded_subqueries);
+    localized_subqueries.Add(delta.localized_subqueries);
+    knn_candidates.Add(delta.knn_candidates);
+    knn_nodes_visited.Add(delta.knn_nodes_visited);
+  }
 };
 
-/// Payload of a kLeafScan cache entry: the localized ranking plus the
-/// logical node-access count the scan adds to the session cost model — a
-/// hit replays the delta so `QdSessionStats` stays byte-identical with the
-/// cache on or off.
-struct LeafScanValue {
-  Ranking ranking;
-  std::size_t nodes_visited = 0;
-};
-
-/// Payload of a kTopK cache entry: a whole finalized result plus every
-/// stat delta `Finalize` adds on a cold run.
+/// Payload of a kTopK cache entry: a whole finalized result plus the stat
+/// delta `Finalize` adds on a cold run.
 struct QdFinalizeValue {
   QdResult result;
-  std::size_t boundary_expansions = 0;
-  std::size_t expanded_subqueries = 0;
-  std::size_t knn_nodes_visited = 0;
-  std::size_t localized_subqueries = 0;
-  std::size_t knn_candidates = 0;
+  QdSessionStats delta;
 };
-
-std::size_t RankingBytes(const Ranking& ranking) {
-  return ranking.size() * sizeof(KnnMatch);
-}
-
-std::uint64_t HashDoubles(const std::vector<double>& values,
-                          std::uint64_t state) {
-  return cache::HashBytes(values.data(), values.size() * sizeof(double),
-                          state);
-}
 
 }  // namespace
 
@@ -228,49 +214,6 @@ Ranking QdSession::LocalizedSearch(NodeId node,
                                    const FeatureVector& query_point,
                                    std::size_t fetch,
                                    QdSessionStats* stats) const {
-  cache::CacheManager* cache_mgr = options_.cache;
-  if (cache_mgr == nullptr) {
-    return LocalizedSearchUncached(node, query_point, fetch, stats);
-  }
-  // The cached ranking is a pure function of the key: the search node, the
-  // query-point and weight bytes, the fetch size, and the SIMD level (the
-  // kernels' bit-identical contract makes distances a function of the level
-  // alone). Safe across concurrent subquery tasks — the payload is
-  // immutable and hits only add a precomputed delta to the task-local
-  // stats.
-  cache::CacheKey key;
-  key.kind = cache::CacheKind::kLeafScan;
-  key.a = static_cast<std::uint64_t>(node);
-  std::uint64_t hash = cache::HashBytes(
-      query_point.data(), query_point.dim() * sizeof(double));
-  hash = HashDoubles(options_.feature_weights, hash);
-  hash = cache::HashCombine(hash, fetch);
-  key.b = hash;
-  key.c = static_cast<std::uint64_t>(ActiveKernels().level);
-
-  std::uint64_t token = 0;
-  if (std::shared_ptr<const LeafScanValue> hit =
-          cache_mgr->LookupAs<LeafScanValue>(key, &token)) {
-    stats->knn_nodes_visited += hit->nodes_visited;
-    obs::CountLeafCacheHit(static_cast<obs::AccessLeafId>(node));
-    return hit->ranking;
-  }
-  obs::CountLeafCacheMiss(static_cast<obs::AccessLeafId>(node));
-  const std::size_t nodes_before = stats->knn_nodes_visited;
-  Ranking ranking = LocalizedSearchUncached(node, query_point, fetch, stats);
-  auto value = std::make_shared<LeafScanValue>();
-  value->ranking = ranking;
-  value->nodes_visited = stats->knn_nodes_visited - nodes_before;
-  cache_mgr->InsertAs<LeafScanValue>(
-      key, std::move(value), sizeof(LeafScanValue) + RankingBytes(ranking),
-      token);
-  return ranking;
-}
-
-Ranking QdSession::LocalizedSearchUncached(NodeId node,
-                                           const FeatureVector& query_point,
-                                           std::size_t fetch,
-                                           QdSessionStats* stats) const {
   if (options_.feature_weights.empty()) {
     SearchStats search_stats;
     Ranking ranking = rfs_->index().KnnSearchInSubtree(node, query_point,
@@ -385,34 +328,24 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
           images.data(), images.size() * sizeof(ImageId), feedback_hash);
     }
     std::uint64_t config_hash = cache::HashCombine(0xcbf29ce484222325ull, k);
-    config_hash = HashDoubles(options_.feature_weights, config_hash);
+    config_hash = cache::HashBytes(
+        options_.feature_weights.data(),
+        options_.feature_weights.size() * sizeof(double), config_hash);
     config_hash = cache::HashBytes(&options_.boundary_threshold,
                                    sizeof(double), config_hash);
     topk_key.kind = cache::CacheKind::kTopK;
     topk_key.a = feedback_hash;
     topk_key.b = config_hash;
-    // Low byte tags the engine family so qd and qcluster top-k keys never
-    // collide even with equal hashes.
-    topk_key.c = (static_cast<std::uint64_t>(ActiveKernels().level) << 8) | 1;
+    topk_key.c = static_cast<std::uint64_t>(ActiveKernels().level);
     if (std::shared_ptr<const QdFinalizeValue> hit =
             cache_mgr->LookupAs<QdFinalizeValue>(topk_key, &topk_token)) {
-      stats_.boundary_expansions += hit->boundary_expansions;
-      stats_.expanded_subqueries += hit->expanded_subqueries;
-      stats_.knn_nodes_visited += hit->knn_nodes_visited;
-      stats_.localized_subqueries += hit->localized_subqueries;
-      stats_.knn_candidates += hit->knn_candidates;
       // The process-wide counters mirror the logical cost model, so a hit
-      // replays the same deltas there too.
-      QdCounters& counters = QdCounters::Get();
-      counters.boundary_expansions.Add(hit->boundary_expansions);
-      counters.expanded_subqueries.Add(hit->expanded_subqueries);
-      counters.knn_nodes_visited.Add(hit->knn_nodes_visited);
-      counters.localized_subqueries.Add(hit->localized_subqueries);
-      counters.knn_candidates.Add(hit->knn_candidates);
+      // replays the delta there too.
+      stats_.Add(hit->delta);
+      QdCounters::Get().AddFinalize(hit->delta);
       return hit->result;
     }
   }
-  const QdSessionStats stats_before = stats_;
 
   std::size_t total_relevant = 0;
   for (const auto& [leaf, images] : relevant_by_leaf_) {
@@ -521,22 +454,14 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
     QDCBIR_SPAN_ANNOTATE("boundary_expansions",
                          task_stats[li2].boundary_expansions);
   });
-  std::size_t expansions = 0;
-  std::size_t expanded = 0;
-  std::size_t nodes_visited = 0;
+  // Everything this finalize adds to the cost model, applied (and cached)
+  // as one delta at the end.
+  QdSessionStats delta;
   for (const QdSessionStats& ts : task_stats) {
-    expansions += ts.boundary_expansions;
-    if (ts.boundary_expansions > 0) ++expanded;
-    nodes_visited += ts.knn_nodes_visited;
+    delta.Add(ts);
+    if (ts.boundary_expansions > 0) ++delta.expanded_subqueries;
   }
-  stats_.boundary_expansions += expansions;
-  stats_.expanded_subqueries += expanded;
-  stats_.knn_nodes_visited += nodes_visited;
-  QdCounters& counters = QdCounters::Get();
-  counters.boundary_expansions.Add(expansions);
-  counters.expanded_subqueries.Add(expanded);
-  counters.knn_nodes_visited.Add(nodes_visited);
-  counters.localized_subqueries.Add(locals.size());
+  delta.localized_subqueries = locals.size();
 
   // Phase 2 (sequential): cross-group dedup and quota consumption, in the
   // same subquery order as before — the determinism-critical merge.
@@ -548,9 +473,7 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
     const Local& local = locals[li2];
     ResultGroup group = std::move(groups[li2]);
     Ranking candidates = std::move(local_candidates[li2]);
-    stats_.localized_subqueries += 1;
-    stats_.knn_candidates += rfs_->info(group.search_node).subtree_size;
-    counters.knn_candidates.Add(rfs_->info(group.search_node).subtree_size);
+    delta.knn_candidates += rfs_->info(group.search_node).subtree_size;
 
     std::size_t consumed = 0;
     for (const KnnMatch& m : candidates) {
@@ -609,22 +532,15 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
               return a.leaf < b.leaf;
             });
 
+  stats_.Add(delta);
+  QdCounters::Get().AddFinalize(delta);
   if (cache_mgr != nullptr) {
     auto value = std::make_shared<QdFinalizeValue>();
     value->result = result;
-    value->boundary_expansions =
-        stats_.boundary_expansions - stats_before.boundary_expansions;
-    value->expanded_subqueries =
-        stats_.expanded_subqueries - stats_before.expanded_subqueries;
-    value->knn_nodes_visited =
-        stats_.knn_nodes_visited - stats_before.knn_nodes_visited;
-    value->localized_subqueries =
-        stats_.localized_subqueries - stats_before.localized_subqueries;
-    value->knn_candidates =
-        stats_.knn_candidates - stats_before.knn_candidates;
+    value->delta = delta;
     std::size_t bytes = sizeof(QdFinalizeValue);
     for (const ResultGroup& group : result.groups) {
-      bytes += sizeof(ResultGroup) + RankingBytes(group.images);
+      bytes += sizeof(ResultGroup) + group.images.size() * sizeof(KnnMatch);
     }
     cache_mgr->InsertAs<QdFinalizeValue>(topk_key, std::move(value), bytes,
                                          topk_token);

@@ -43,13 +43,12 @@ struct QdOptions {
   /// byte-identical across pool sizes: subqueries write per-task slots and
   /// the cross-group merge runs sequentially in deterministic order.
   ThreadPool* pool = nullptr;
-  /// Optional result cache for the finalize hot paths (nullptr = uncached).
-  /// Two kinds are used: per-subquery localized-scan rankings (kLeafScan)
-  /// and whole finalized results (kTopK). Cached values are pure functions
-  /// of their keys — search node, query-point/weight bytes, fetch size, k,
-  /// SIMD level — and each entry carries the logical cost-stat deltas it
-  /// replaces, so rankings *and* `QdSessionStats` are byte-identical with
-  /// the cache on or off (docs/caching.md). The caller owns the manager and
+  /// Optional cache of whole finalized results (kTopK; nullptr = uncached),
+  /// so a session replay skips the subqueries. A cached result is a pure
+  /// function of its key — the per-leaf relevant sets, k, weights,
+  /// threshold, SIMD level — and the entry carries the `QdSessionStats`
+  /// delta it replaces, so rankings *and* stats are byte-identical with the
+  /// cache on or off (docs/caching.md). The caller owns the manager and
   /// must flush it (`BeginEpoch`) whenever the RFS snapshot changes.
   cache::CacheManager* cache = nullptr;
 };
@@ -101,6 +100,18 @@ struct QdSessionStats {
   /// disk-based cost model (§5.2.2) each opened node is one disk access;
   /// a localized search usually opens about one leaf.
   std::size_t knn_nodes_visited = 0;
+
+  /// Adds every field of `delta` (a finalize's or a subquery's share).
+  void Add(const QdSessionStats& delta) {
+    feedback_rounds += delta.feedback_rounds;
+    nodes_touched += delta.nodes_touched;
+    distinct_nodes_sampled += delta.distinct_nodes_sampled;
+    boundary_expansions += delta.boundary_expansions;
+    expanded_subqueries += delta.expanded_subqueries;
+    localized_subqueries += delta.localized_subqueries;
+    knn_candidates += delta.knn_candidates;
+    knn_nodes_visited += delta.knn_nodes_visited;
+  }
 };
 
 /// An interactive Query Decomposition session (§3.2).
@@ -154,13 +165,6 @@ class QdSession {
   /// pool; merged into `stats_` afterwards).
   Ranking LocalizedSearch(NodeId node, const FeatureVector& query_point,
                           std::size_t fetch, QdSessionStats* stats) const;
-
-  /// The scan behind `LocalizedSearch`, always computed. `LocalizedSearch`
-  /// consults `options_.cache` first and inserts this result on a miss.
-  Ranking LocalizedSearchUncached(NodeId node,
-                                  const FeatureVector& query_point,
-                                  std::size_t fetch,
-                                  QdSessionStats* stats) const;
 
   /// §3.3: expands `leaf` upward while any of `query_images` lies too close
   /// to the boundary of the current node.

@@ -27,10 +27,6 @@ void AppendCounts(std::string* out, const obs::LeafAccessCounts& counts) {
   AppendU64(out, counts.distance_evals);
   *out += ",\"feature_bytes\":";
   AppendU64(out, counts.feature_bytes);
-  *out += ",\"cache_hits\":";
-  AppendU64(out, counts.cache_hits);
-  *out += ",\"cache_misses\":";
-  AppendU64(out, counts.cache_misses);
   *out += "}";
 }
 

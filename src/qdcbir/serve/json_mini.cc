@@ -1,6 +1,7 @@
 #include "qdcbir/serve/json_mini.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -215,13 +216,40 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+bool JsonValue::AsUint(std::uint64_t max, std::uint64_t* out) const {
+  // 2^64 is exact in a double, and every integral double in [0, 2^64)
+  // converts to u64 without overflow.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!is_number() || !(number >= 0.0) || number >= kTwoTo64 ||
+      std::floor(number) != number) {
+    return false;
+  }
+  const std::uint64_t value = static_cast<std::uint64_t>(number);
+  if (value > max) return false;
+  *out = value;
+  return true;
+}
+
 std::uint64_t JsonValue::U64Field(std::string_view key,
                                   std::uint64_t fallback) const {
   const JsonValue* value = Find(key);
-  if (value == nullptr || !value->is_number() || value->number < 0) {
-    return fallback;
+  std::uint64_t out = fallback;
+  if (value != nullptr && !value->AsUint(UINT64_MAX, &out)) return fallback;
+  return out;
+}
+
+StatusOr<std::uint64_t> JsonValue::UintField(std::string_view key,
+                                             std::uint64_t fallback,
+                                             std::uint64_t max) const {
+  const JsonValue* value = Find(key);
+  if (value == nullptr) return fallback;
+  std::uint64_t out = 0;
+  if (!value->AsUint(max, &out)) {
+    return Status::InvalidArgument("\"" + std::string(key) +
+                                   "\" must be an integer in [0, " +
+                                   std::to_string(max) + "]");
   }
-  return static_cast<std::uint64_t>(value->number);
+  return out;
 }
 
 StatusOr<JsonValue> ParseJson(std::string_view text) {

@@ -31,9 +31,22 @@ struct JsonValue {
   /// nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
 
-  /// The field's numeric value clamped to u64, or `fallback` when the
-  /// field is absent / not a number / negative.
+  /// The field's value, or `fallback` when the field is absent or is not
+  /// an integer in u64 range. For trusted documents (server replies).
   std::uint64_t U64Field(std::string_view key, std::uint64_t fallback) const;
+
+  /// The field's value for a client-supplied field: `fallback` when the
+  /// field is absent, InvalidArgument naming the field when it is present
+  /// but not an integer in [0, max].
+  StatusOr<std::uint64_t> UintField(
+      std::string_view key, std::uint64_t fallback,
+      std::uint64_t max = UINT64_MAX) const;
+
+  /// Stores the value and returns true when this is a number holding an
+  /// integer in [0, max]; false (for fractions, negatives, out-of-range
+  /// values and non-numbers) otherwise. Never converts an unrepresentable
+  /// double.
+  bool AsUint(std::uint64_t max, std::uint64_t* out) const;
 
   bool is_object() const { return kind == Kind::kObject; }
   bool is_array() const { return kind == Kind::kArray; }

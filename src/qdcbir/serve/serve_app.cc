@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -262,12 +263,6 @@ ServeApp::ServeApp(ServeOptions options)
   server_.Handle("/api/reload", [this](const obs::HttpRequest& request) {
     return HandleApiReload(request);
   });
-  if (options_.cache_mb > 0) {
-    cache::CacheManager::Options cache_options;
-    cache_options.budget_bytes = options_.cache_mb << 20;
-    cache_ = std::make_unique<cache::CacheManager>(cache_options);
-  }
-
   {
     std::vector<obs::SloDefinition> slos;
     obs::SloDefinition latency;
@@ -324,6 +319,18 @@ ServeApp::ServeApp(ServeOptions options)
 ServeApp::~ServeApp() { Stop(); }
 
 bool ServeApp::Start(std::string* error) {
+  if (options_.cache_mb > (std::numeric_limits<std::size_t>::max() >> 20)) {
+    if (error != nullptr) {
+      *error = "cache_mb " + std::to_string(options_.cache_mb) +
+               " overflows the cache's byte budget";
+    }
+    return false;
+  }
+  if (options_.cache_mb > 0) {
+    cache::CacheManager::Options cache_options;
+    cache_options.budget_bytes = options_.cache_mb << 20;
+    cache_ = std::make_unique<cache::CacheManager>(cache_options);
+  }
   start_epoch_seconds_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::seconds>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -526,6 +533,11 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
     if (!parsed.ok()) return JsonError(400, parsed.status().ToString());
     body = std::move(*parsed);
   }
+  // Checked up front, so the U64Field reads below see in-range integers.
+  for (const char* field : {"display_size", "seed"}) {
+    const StatusOr<std::uint64_t> value = body.UintField(field, 0);
+    if (!value.ok()) return JsonError(400, value.status().ToString());
+  }
 
   QdOptions qd_options;
   qd_options.display_size = static_cast<std::size_t>(
@@ -621,7 +633,11 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   if (!parsed.ok()) return JsonError(400, parsed.status().ToString());
   const JsonValue& body = *parsed;
 
-  const std::uint64_t session_id = body.U64Field("session", 0);
+  const StatusOr<std::uint64_t> session_field = body.UintField("session", 0);
+  if (!session_field.ok()) {
+    return JsonError(400, session_field.status().ToString());
+  }
+  const std::uint64_t session_id = *session_field;
   if (session_id == 0) return JsonError(400, "missing \"session\"");
   std::shared_ptr<Session> session;
   {
@@ -656,11 +672,26 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   if (const JsonValue* ids = body.Find("relevant")) {
     if (!ids->is_array()) return JsonError(400, "\"relevant\" must be an array");
     for (const JsonValue& id : ids->items) {
-      if (!id.is_number() || id.number < 0) {
+      std::uint64_t image = 0;
+      if (!id.AsUint(std::numeric_limits<ImageId>::max(), &image)) {
         return JsonError(400, "\"relevant\" must hold image ids");
       }
-      relevant.push_back(static_cast<ImageId>(id.number));
+      relevant.push_back(static_cast<ImageId>(image));
     }
+  }
+  // "finalize" is true or a result size k (0 = the server default). A k
+  // past the corpus size is refused: Finalize's quota loop runs k times.
+  const JsonValue* finalize = body.Find("finalize");
+  std::size_t k = options_.default_k;
+  if (finalize != nullptr &&
+      !(finalize->kind == JsonValue::Kind::kBool && finalize->boolean)) {
+    const std::size_t images = rfs_->num_images();
+    std::uint64_t value = 0;
+    if (!finalize->AsUint(images, &value)) {
+      return JsonError(400, "\"finalize\" must be true or an integer in [0, " +
+                                std::to_string(images) + "]");
+    }
+    if (value > 0) k = static_cast<std::size_t>(value);
   }
 
   std::uint64_t start_ns = obs::MonotonicNanos();
@@ -680,7 +711,6 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   session->quality.ObserveRound(DisplayIds(*next),
                                 session->qd.stats().localized_subqueries);
 
-  const JsonValue* finalize = body.Find("finalize");
   if (finalize == nullptr) {
     std::string out = "{\"session\":" + std::to_string(session_id) +
                       ",\"round\":" + std::to_string(session->qd.round()) +
@@ -691,10 +721,6 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
                      session->trace);
   }
 
-  std::size_t k = options_.default_k;
-  if (finalize->is_number() && finalize->number > 0) {
-    k = static_cast<std::size_t>(finalize->number);
-  }
   start_ns = obs::MonotonicNanos();
   StatusOr<QdResult> result = [&] {
     QDCBIR_SPAN("serve.api.finalize");
@@ -1188,23 +1214,15 @@ void ServeApp::FinishSessionObservability(const Session& session,
     static obs::Counter& bytes = registry.GetCounter(
         "access.leaf.feature_bytes",
         "Feature-vector bytes read by leaf scans");
-    static obs::Counter& hits = registry.GetCounter(
-        "access.cache.hits", "Leaf scans answered from the result cache");
-    static obs::Counter& misses = registry.GetCounter(
-        "access.cache.misses", "Leaf scans that had to touch the index");
     obs::LeafAccessCounts totals;
     std::vector<obs::AccessLeafId> touched;
     for (const obs::LeafAccess& row : access) {
       totals.Add(row.counts);
-      if (row.counts.scans > 0 && row.leaf != obs::kTableScanLeaf) {
-        touched.push_back(row.leaf);
-      }
+      if (row.leaf != obs::kTableScanLeaf) touched.push_back(row.leaf);
     }
     scans.Add(totals.scans);
     evals.Add(totals.distance_evals);
     bytes.Add(totals.feature_bytes);
-    hits.Add(totals.cache_hits);
-    misses.Add(totals.cache_misses);
     obs::CoAccessTracker::Global().RecordTouchedSet(std::move(touched));
   }
 

@@ -79,8 +79,9 @@ struct ServeOptions {
   /// low-overhead rate.
   int profile_hz = 0;
   /// Byte budget (in MiB) of the result cache shared by every session:
-  /// localized-scan rankings, finalized top-k results, and rendered
-  /// representative payloads (`/api/rep`). 0 disables caching. The cache is
+  /// finalized top-k results and rendered representative payloads
+  /// (`/api/rep`). 0 disables caching; a budget whose byte count overflows
+  /// `size_t` makes `Start` fail. The cache is
   /// flushed (new epoch) on every successful snapshot load, including
   /// `/api/reload`, so entries never outlive the corpus they came from.
   std::size_t cache_mb = 64;
@@ -157,8 +158,9 @@ class ServeApp {
   ServeApp& operator=(const ServeApp&) = delete;
 
   /// Binds the listener and starts the background snapshot load. Returns
-  /// false (with `*error`) only when the socket cannot be bound — load
-  /// failures surface through `/readyz` and `readiness()` instead.
+  /// false (with `*error`) only when `cache_mb` overflows or the socket
+  /// cannot be bound — load failures surface through `/readyz` and
+  /// `readiness()` instead.
   bool Start(std::string* error);
 
   /// Stops the server, joins the loader, and drains open connections.

@@ -26,7 +26,7 @@ namespace qdcbir {
 namespace cache {
 namespace {
 
-CacheKey Key(std::uint64_t a, CacheKind kind = CacheKind::kLeafScan) {
+CacheKey Key(std::uint64_t a, CacheKind kind = CacheKind::kTopK) {
   CacheKey key;
   key.kind = kind;
   key.a = a;

@@ -12,7 +12,7 @@ namespace qdcbir {
 namespace cache {
 namespace {
 
-CacheKey Key(std::uint64_t a, CacheKind kind = CacheKind::kLeafScan) {
+CacheKey Key(std::uint64_t a, CacheKind kind = CacheKind::kTopK) {
   CacheKey key;
   key.kind = kind;
   key.a = a;
@@ -25,7 +25,7 @@ std::shared_ptr<const std::string> Payload(std::size_t size) {
 
 /// Inserts a `size`-byte payload under `a`; expects success.
 void MustInsert(CacheManager* cache, std::uint64_t a, std::size_t size,
-                CacheKind kind = CacheKind::kLeafScan) {
+                CacheKind kind = CacheKind::kTopK) {
   std::uint64_t epoch = 0;
   ASSERT_EQ(cache->LookupAs<std::string>(Key(a, kind), &epoch), nullptr);
   ASSERT_TRUE(cache->InsertAs<std::string>(Key(a, kind), Payload(size), size,
@@ -33,7 +33,7 @@ void MustInsert(CacheManager* cache, std::uint64_t a, std::size_t size,
 }
 
 bool Contains(CacheManager* cache, std::uint64_t a,
-              CacheKind kind = CacheKind::kLeafScan) {
+              CacheKind kind = CacheKind::kTopK) {
   std::uint64_t epoch = 0;
   return cache->LookupAs<std::string>(Key(a, kind), &epoch) != nullptr;
 }
@@ -74,7 +74,11 @@ TEST(CacheManagerTest, KeysDifferingInAnyWordOrKindAreDistinct) {
   for (CacheKey probe :
        {Key(2), [&] { CacheKey k = base; k.b = 9; return k; }(),
         [&] { CacheKey k = base; k.c = 9; return k; }(),
-        [&] { CacheKey k = base; k.kind = CacheKind::kTopK; return k; }()}) {
+        [&] {
+          CacheKey k = base;
+          k.kind = CacheKind::kRepresentatives;
+          return k;
+        }()}) {
     std::uint64_t unused = 0;
     EXPECT_EQ(cache.LookupAs<std::string>(probe, &unused), nullptr);
   }
@@ -280,23 +284,21 @@ TEST(CacheManagerTest, DuplicateInsertIsSuccessWithoutDoubleCharge) {
 
 TEST(CacheManagerTest, KindStatsAttributeTrafficPerKind) {
   CacheManager cache(CacheManager::Options{});
-  MustInsert(&cache, 1, 16, CacheKind::kLeafScan);
   MustInsert(&cache, 1, 16, CacheKind::kRepresentatives);
   MustInsert(&cache, 1, 16, CacheKind::kTopK);
   ASSERT_TRUE(Contains(&cache, 1, CacheKind::kTopK));
   ASSERT_TRUE(Contains(&cache, 1, CacheKind::kTopK));
 
   EXPECT_EQ(cache.KindStats(CacheKind::kTopK).hits, 2u);
-  EXPECT_EQ(cache.KindStats(CacheKind::kLeafScan).hits, 0u);
+  EXPECT_EQ(cache.KindStats(CacheKind::kRepresentatives).hits, 0u);
   EXPECT_EQ(cache.KindStats(CacheKind::kRepresentatives).insertions, 1u);
-  for (CacheKind kind : {CacheKind::kLeafScan, CacheKind::kRepresentatives,
-                         CacheKind::kTopK}) {
+  for (CacheKind kind : {CacheKind::kRepresentatives, CacheKind::kTopK}) {
     EXPECT_EQ(cache.KindStats(kind).entries, 1u);
     EXPECT_EQ(cache.KindStats(kind).bytes_used,
               16u + CacheManager::kEntryOverheadBytes);
   }
   const CacheStats total = cache.TotalStats();
-  EXPECT_EQ(total.entries, 3u);
+  EXPECT_EQ(total.entries, 2u);
   EXPECT_EQ(total.hits, 2u);
 }
 

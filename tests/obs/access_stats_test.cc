@@ -45,8 +45,8 @@ TEST(AccessStatsTableTest, MergeSessionAggregatesAndCountsSessions) {
   EXPECT_EQ(table.sessions_merged(), 0u);
 
   std::vector<LeafAccess> session;
-  session.push_back({4, {2, 20, 160, 1, 1}});
-  session.push_back({kTableScanLeaf, {1, 500, 4000, 0, 1}});
+  session.push_back({4, {2, 20, 160}});
+  session.push_back({kTableScanLeaf, {1, 500, 4000}});
   table.MergeSession(session);
   table.MergeSession(session);
   EXPECT_EQ(table.sessions_merged(), 2u);
@@ -127,8 +127,8 @@ TEST(CoAccessTrackerTest, TruncatesOversizedSetsVisibly) {
 
 TEST(RenderIndexLeafTest, EmitsLabeledFamiliesWithTableBucket) {
   std::vector<LeafAccess> rows;
-  rows.push_back({17, {5, 50, 400, 2, 3}});
-  rows.push_back({kTableScanLeaf, {1, 500, 4000, 0, 1}});
+  rows.push_back({17, {5, 50, 400}});
+  rows.push_back({kTableScanLeaf, {1, 500, 4000}});
   const std::string text = RenderIndexLeafPrometheusText(rows, 16);
   EXPECT_NE(text.find("# TYPE qdcbir_index_leaf_scans counter"),
             std::string::npos);
@@ -146,7 +146,7 @@ TEST(RenderIndexLeafTest, EmitsLabeledFamiliesWithTableBucket) {
 TEST(RenderIndexLeafTest, TopNKeepsHottestLeavesOnly) {
   std::vector<LeafAccess> rows;
   for (AccessLeafId leaf = 0; leaf < 10; ++leaf) {
-    rows.push_back({leaf, {leaf + 1, 0, 0, 0, 0}});  // leaf 9 is hottest
+    rows.push_back({leaf, {leaf + 1, 0, 0}});  // leaf 9 is hottest
   }
   const std::string text = RenderIndexLeafPrometheusText(rows, 2);
   EXPECT_NE(text.find("{leaf=\"9\"}"), std::string::npos);

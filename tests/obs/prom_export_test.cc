@@ -285,14 +285,14 @@ TEST(PromExportTest, AccessAndHistoryFamiliesRenderAndValidate) {
   registry
       .GetCounter("access.leaf.distance_evals", "Distance evals in leaf scans")
       .Add(400);
-  registry.GetCounter("access.cache.hits", "Leaf scans served from cache")
+  registry.GetCounter("access.leaf.feature_bytes", "Bytes read by leaf scans")
       .Add(3);
   registry.GetCounter("history.samples.taken", "Recorder samples").Add(9);
   registry.GetGauge("index.tree.leaves", "RFS leaf count").Set(17);
 
   std::vector<LeafAccess> rows;
-  rows.push_back({3, {5, 100, 800, 1, 4}});
-  rows.push_back({kTableScanLeaf, {2, 900, 7200, 0, 2}});
+  rows.push_back({3, {5, 100, 800}});
+  rows.push_back({kTableScanLeaf, {2, 900, 7200}});
   const std::string text =
       RenderPrometheusText(registry) + RenderIndexLeafPrometheusText(rows, 8);
 

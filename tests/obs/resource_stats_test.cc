@@ -48,9 +48,6 @@ void ExpectLeafRows(const ResourceAccumulator& sink,
               expected[i].counts.distance_evals) << i;
     EXPECT_EQ(rows[i].counts.feature_bytes, expected[i].counts.feature_bytes)
         << i;
-    EXPECT_EQ(rows[i].counts.cache_hits, expected[i].counts.cache_hits) << i;
-    EXPECT_EQ(rows[i].counts.cache_misses, expected[i].counts.cache_misses)
-        << i;
   }
 }
 
@@ -62,8 +59,6 @@ TEST(ResourceStatsTest, TapsAreNoOpsWithoutSink) {
   CountTileGathers(1);
   CountContainerAlloc(64);
   CountLeafScan(7, 100, 800);
-  CountLeafCacheHit(7);
-  CountLeafCacheMiss(7);
   // No sink: nothing is retained anywhere, and a later scope must not
   // inherit stale deltas.
   ResourceAccumulator sink;
@@ -88,8 +83,6 @@ TEST(ResourceStatsTest, ScopeCollectsAndMergesAtExit) {
     CountLeafScan(9, 10, 80);
     CountLeafScan(3, 5, 40);
     CountLeafScan(9, 1, 8);
-    CountLeafCacheHit(3);
-    CountLeafCacheMiss(9);
     // Deltas are batched thread-locally; the sink sees them at scope exit.
     EXPECT_TRUE(sink.Snapshot().IsZero());
     EXPECT_TRUE(sink.LeafSnapshot().empty());
@@ -102,7 +95,7 @@ TEST(ResourceStatsTest, ScopeCollectsAndMergesAtExit) {
   EXPECT_EQ(usage.tiles_gathered, 2u);
   EXPECT_EQ(usage.container_allocs, 2u);
   EXPECT_EQ(usage.alloc_bytes, 384u);
-  ExpectLeafRows(sink, {{3, {1, 5, 40, 1, 0}}, {9, {2, 11, 88, 0, 1}}});
+  ExpectLeafRows(sink, {{3, {1, 5, 40}}, {9, {2, 11, 88}}});
   EXPECT_EQ(CurrentResourceAccumulator(), nullptr);
 }
 
@@ -113,14 +106,14 @@ TEST(ResourceStatsTest, FlushPublishesMidScope) {
     CountLeafScan(5, 9, 72);
     FlushResourceAccounting();
     EXPECT_EQ(sink.Snapshot().distance_evals, 9u);
-    ExpectLeafRows(sink, {{5, {1, 9, 72, 0, 0}}});
+    ExpectLeafRows(sink, {{5, {1, 9, 72}}});
     CountLeafScan(5, 1, 8);
   }
   // Flush zeroed the local deltas, so the scope-exit merge adds only the
   // post-flush tally — nothing is double-counted.
   EXPECT_EQ(sink.Snapshot().distance_evals, 10u);
   EXPECT_EQ(sink.Snapshot().feature_bytes, 80u);
-  ExpectLeafRows(sink, {{5, {2, 10, 80, 0, 0}}});
+  ExpectLeafRows(sink, {{5, {2, 10, 80}}});
 }
 
 TEST(ResourceStatsTest, NestedScopesIsolateAndRestore) {
@@ -139,8 +132,8 @@ TEST(ResourceStatsTest, NestedScopesIsolateAndRestore) {
   }
   EXPECT_EQ(outer.Snapshot().distance_evals, 3u);
   EXPECT_EQ(inner.Snapshot().distance_evals, 100u);
-  ExpectLeafRows(outer, {{1, {2, 3, 24, 0, 0}}});
-  ExpectLeafRows(inner, {{2, {1, 100, 800, 0, 0}}});
+  ExpectLeafRows(outer, {{1, {2, 3, 24}}});
+  ExpectLeafRows(inner, {{2, {1, 100, 800}}});
 }
 
 TEST(ResourceStatsTest, NullScopeDisablesAccounting) {
@@ -156,7 +149,7 @@ TEST(ResourceStatsTest, NullScopeDisablesAccounting) {
     CountLeafScan(1, 1, 8);
   }
   EXPECT_EQ(sink.Snapshot().distance_evals, 1u);
-  ExpectLeafRows(sink, {{1, {1, 1, 8, 0, 0}}});
+  ExpectLeafRows(sink, {{1, {1, 1, 8}}});
 }
 
 /// Span names and trace ids observed inside pool tasks.
@@ -224,7 +217,6 @@ TEST(ResourceStatsTest, PoolCarriesTaskContextThroughNestedRunsAndPost) {
         observer.Note();
         const ScopedSpan leaf("test.leaf", TestSpanHistogram("test.leaf"));
         CountLeafScan(static_cast<AccessLeafId>(outer), 3, 24);
-        CountLeafCacheMiss(static_cast<AccessLeafId>(outer));
       });
     });
     // The inner batches were enqueued under test.outer on whichever thread
@@ -248,9 +240,9 @@ TEST(ResourceStatsTest, PoolCarriesTaskContextThroughNestedRunsAndPost) {
   EXPECT_EQ(usage.feature_bytes, 8u * 4u * 24u + 40u);
   std::vector<LeafAccess> expected;
   for (AccessLeafId leaf = 0; leaf < 8; ++leaf) {
-    expected.push_back({leaf, {4, 12, 96, 0, 4}});
+    expected.push_back({leaf, {4, 12, 96}});
   }
-  expected.push_back({kTableScanLeaf, {1, 5, 40, 0, 0}});
+  expected.push_back({kTableScanLeaf, {1, 5, 40}});
   ExpectLeafRows(sink, expected);
 
   // The recorded tree links leaf → outer → root and posted → root.

@@ -230,32 +230,6 @@ TEST_F(QdDeterminismTest, QualityTelemetryAndWideEventsAreInvisible) {
   EXPECT_EQ(sink.dropped(), 0u);
 }
 
-TEST_F(QdDeterminismTest, QclusterIdenticalWithCacheOnAndOff) {
-  ThreadPool pool(4);
-  cache::CacheManager cache(cache::CacheManager::Options{});
-  auto run = [&](cache::CacheManager* cache_ptr) {
-    QclusterOptions options;
-    options.seed = 9;
-    options.pool = &pool;
-    options.cache = cache_ptr;
-    QclusterEngine engine(db_, options);
-    engine.Start();
-    engine.Feedback({10, 11, 250, 251, 500, 501}).value();
-    return engine.Finalize(64).value();
-  };
-  const Ranking uncached = run(nullptr);
-  const Ranking cold = run(&cache);
-  const Ranking warm = run(&cache);  // served from the top-k cache
-  EXPECT_GT(cache.TotalStats().hits, 0u);
-  for (const Ranking* ranking : {&cold, &warm}) {
-    ASSERT_EQ(uncached.size(), ranking->size());
-    for (std::size_t i = 0; i < uncached.size(); ++i) {
-      EXPECT_EQ(uncached[i].id, (*ranking)[i].id);
-      EXPECT_EQ(uncached[i].distance_squared, (*ranking)[i].distance_squared);
-    }
-  }
-}
-
 TEST_F(QdDeterminismTest, WeightedQdSessionIdenticalAcrossThreadCounts) {
   ThreadPool sequential(1);
   ThreadPool wide(8);

@@ -122,10 +122,10 @@ TEST_F(RfsIntrospectTest, JoinedJsonReportsHotLeavesAndCoaccess) {
   join.generation = 3;
   join.sessions = 2;
   join.access.push_back(
-      {static_cast<obs::AccessLeafId>(hot), {9, 90, 720, 1, 8}});
+      {static_cast<obs::AccessLeafId>(hot), {9, 90, 720}});
   join.access.push_back(
-      {static_cast<obs::AccessLeafId>(warm), {4, 40, 320, 0, 4}});
-  join.access.push_back({obs::kTableScanLeaf, {1, 600, 4800, 0, 1}});
+      {static_cast<obs::AccessLeafId>(warm), {4, 40, 320}});
+  join.access.push_back({obs::kTableScanLeaf, {1, 600, 4800}});
   join.coaccess.push_back({static_cast<obs::AccessLeafId>(hot),
                            static_cast<obs::AccessLeafId>(warm), 2});
   join.coaccess_sets = 2;

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -373,6 +374,107 @@ TEST_F(ServeAppTest, ApiRejectsMalformedRequests) {
       Post(app.port(), "/api/query", "{\"seed\":1,").find("400"),
       std::string::npos);
   app.Stop();
+}
+
+TEST_F(ServeAppTest, ApiRejectsIntegersOutOfRangeAndNamesTheField) {
+  ThreadPool pool(2);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  StatusOr<JsonValue> query =
+      ParseJson(BodyOf(Post(app.port(), "/api/query", "{\"seed\":3}")));
+  ASSERT_TRUE(query.ok());
+  const std::string session = std::to_string(query->U64Field("session", 0));
+  const JsonValue* display = query->Find("display");
+  ASSERT_NE(display, nullptr);
+  ASSERT_FALSE(display->items.empty());
+  const JsonValue* images = display->items[0].Find("images");
+  ASSERT_NE(images, nullptr);
+  ASSERT_FALSE(images->items.empty());
+  std::uint64_t pick = 0;
+  ASSERT_TRUE(images->items[0].AsUint(UINT32_MAX, &pick));
+  const std::string ok_relevant =
+      ",\"relevant\":[" + std::to_string(pick) + "]";
+
+  // A client integer that is negative, fractional, past its type or not a
+  // number answers 400 and names the field; none may reach a conversion.
+  const std::string s = "{\"session\":" + session;
+  const std::string f = s + ok_relevant + ",\"finalize\":";
+  struct Case {
+    const char* path;
+    std::string body;
+    const char* field;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"/api/query", "{\"seed\":-1}", "seed"},
+           {"/api/query", "{\"seed\":1.5}", "seed"},
+           {"/api/query", "{\"seed\":1e30}", "seed"},
+           {"/api/query", "{\"seed\":\"7\"}", "seed"},
+           {"/api/query", "{\"display_size\":-3}", "display_size"},
+           {"/api/query", "{\"display_size\":1e300}", "display_size"},
+           {"/api/feedback", "{\"session\":1e30}", "session"},
+           {"/api/feedback", "{\"session\":-1}", "session"},
+           {"/api/feedback", "{\"session\":1.5}", "session"},
+           {"/api/feedback", "{\"session\":true}", "session"},
+           {"/api/feedback", s + ",\"relevant\":[5e9]}", "relevant"},
+           {"/api/feedback", s + ",\"relevant\":[1.5]}", "relevant"},
+           {"/api/feedback", s + ",\"relevant\":[-1]}", "relevant"},
+           {"/api/feedback", s + ",\"relevant\":[4294967296]}", "relevant"},
+           {"/api/feedback", s + ",\"relevant\":[\"1\"]}", "relevant"},
+           {"/api/feedback", f + "1e300}", "finalize"},
+           {"/api/feedback", f + "2.5}", "finalize"},
+           {"/api/feedback", f + "-1}", "finalize"},
+           {"/api/feedback", f + "301}", "finalize"},  // the corpus is 300
+           {"/api/feedback", f + "false}", "finalize"},
+           {"/api/feedback", f + "\"25\"}", "finalize"},
+       }) {
+    const std::string response = Post(app.port(), c.path, c.body);
+    EXPECT_NE(response.find("400"), std::string::npos) << c.body;
+    EXPECT_NE(BodyOf(response).find(c.field), std::string::npos) << c.body;
+  }
+
+  // Rejected requests left the session untouched: the first valid round
+  // is round 1, and "finalize":true still finalizes.
+  StatusOr<JsonValue> round = ParseJson(
+      BodyOf(Post(app.port(), "/api/feedback", s + ok_relevant + "}")));
+  ASSERT_TRUE(round.ok());
+  EXPECT_EQ(round->U64Field("round", 0), 1u);
+  const std::string final_response =
+      Post(app.port(), "/api/feedback",
+           s + ",\"relevant\":[],\"finalize\":true}");
+  EXPECT_NE(final_response.find("200 OK"), std::string::npos)
+      << final_response;
+  StatusOr<JsonValue> final_round = ParseJson(BodyOf(final_response));
+  ASSERT_TRUE(final_round.ok());
+  const JsonValue* results = final_round->Find("results");
+  ASSERT_NE(results, nullptr);
+  EXPECT_FALSE(results->items.empty());
+  app.Stop();
+}
+
+TEST_F(ServeAppTest, StartRefusesACacheBudgetThatOverflows) {
+  constexpr std::size_t kMaxCacheMb =
+      std::numeric_limits<std::size_t>::max() >> 20;
+  for (const std::size_t cache_mb : {kMaxCacheMb + 1, kMaxCacheMb}) {
+    ThreadPool pool(1);
+    ServeOptions options;
+    options.db_path = *db_path_;
+    options.pool = &pool;
+    options.cache_mb = cache_mb;
+    ServeApp app(std::move(options));
+    std::string error;
+    // `cache_mb << 20` would wrap to a small budget past the largest value.
+    EXPECT_EQ(app.Start(&error), cache_mb == kMaxCacheMb) << cache_mb;
+    if (cache_mb != kMaxCacheMb) {
+      EXPECT_NE(error.find("cache_mb"), std::string::npos) << error;
+    }
+    app.Stop();
+  }
 }
 
 TEST_F(ServeAppTest, SameSeedYieldsIdenticalFirstDisplay) {

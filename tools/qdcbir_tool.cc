@@ -13,9 +13,9 @@
 //                      [--ranked-json=results.json]
 //       Run one simulated-user retrieval session and print the results.
 //       --weights=1 ranks the QD subqueries under deterministic
-//       per-dimension weights; --cache=on runs the session through a local
-//       result cache (qd and qcluster; rankings are byte-identical either
-//       way — docs/caching.md); --ranked-json dumps the ranked ids (and,
+//       per-dimension weights; --cache=on runs a qd session through a local
+//       result cache (other engines have none; rankings are byte-identical
+//       either way — docs/caching.md); --ranked-json dumps the ranked ids (and,
 //       for QD, per-group distances at full precision) for the CI SIMD
 //       parity diff (docs/simd.md).
 //   qdcbir_tool render --db=db.bin --id=123 --out=image.ppm
@@ -68,6 +68,7 @@
 //       by default, ready for flamegraph.pl — see docs/profiling.md).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -105,6 +106,24 @@ std::int64_t IntFlag(int argc, char** argv, const std::string& name,
   return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
 }
 
+/// `--name=N` for a count or a size: `*out` = N, or `fallback` when the
+/// flag is absent. A value that is not a non-negative decimal integer
+/// fitting `T` prints an error and returns false (the caller exits 1).
+template <typename T>
+bool SizeFlag(int argc, char** argv, const std::string& name, T fallback,
+              T* out) {
+  const std::string v = Flag(argc, argv, name, "");
+  *out = fallback;
+  if (v.empty()) return true;
+  // For an unsigned T, from_chars takes digits only: no sign, no spaces.
+  const char* last = v.data() + v.size();
+  const auto [end, ec] = std::from_chars(v.data(), last, *out);
+  if (ec == std::errc() && end == last) return true;
+  std::fprintf(stderr, "error: --%s=%s is not a non-negative integer\n",
+               name.c_str(), v.c_str());
+  return false;
+}
+
 double DoubleFlag(int argc, char** argv, const std::string& name,
                   double fallback) {
   const std::string v = Flag(argc, argv, name, "");
@@ -117,8 +136,8 @@ int Fail(const Status& status) {
 }
 
 int CmdSynth(int argc, char** argv) {
-  const std::size_t images =
-      static_cast<std::size_t>(IntFlag(argc, argv, "images", 15000));
+  std::size_t images = 0;
+  if (!SizeFlag<std::size_t>(argc, argv, "images", 15000, &images)) return 1;
   const std::string out = Flag(argc, argv, "out", "db.bin");
 
   StatusOr<Catalog> catalog = Catalog::Build();
@@ -146,10 +165,12 @@ int CmdRfs(int argc, char** argv) {
   if (!db.ok()) return Fail(db.status());
 
   RfsBuildOptions options;
-  options.tree.max_entries =
-      static_cast<std::size_t>(IntFlag(argc, argv, "max", 100));
-  options.tree.min_entries =
-      static_cast<std::size_t>(IntFlag(argc, argv, "min", 70));
+  if (!SizeFlag<std::size_t>(argc, argv, "max", 100,
+                             &options.tree.max_entries) ||
+      !SizeFlag<std::size_t>(argc, argv, "min", 70,
+                             &options.tree.min_entries)) {
+    return 1;
+  }
   options.representatives.fraction =
       DoubleFlag(argc, argv, "fraction", 0.05);
   const std::string strategy = Flag(argc, argv, "strategy", "clustered");
@@ -235,13 +256,13 @@ int CmdQuery(int argc, char** argv) {
 
   ProtocolOptions protocol;
   protocol.seed = seed;
-  protocol.retrieval_size =
-      static_cast<std::size_t>(IntFlag(argc, argv, "k", 0));
+  if (!SizeFlag<std::size_t>(argc, argv, "k", 0, &protocol.retrieval_size)) {
+    return 1;
+  }
 
-  // Per-run result cache (off by default): a single session only re-hits
-  // entries across its own repeated subqueries, but the flag's real job is
-  // the CI parity matrix — cache on/off must produce byte-identical
-  // --ranked-json output.
+  // Per-run QD result cache (off by default): one session finalizes once,
+  // so it never hits; the flag's job is the CI parity matrix — cache on/off
+  // must produce byte-identical --ranked-json output.
   std::unique_ptr<cache::CacheManager> run_cache;
   if (Flag(argc, argv, "cache", "off") == "on") {
     cache::CacheManager::Options cache_options;
@@ -271,9 +292,7 @@ int CmdQuery(int argc, char** argv) {
     if (engine_name == "qpm") engine = std::make_unique<QpmEngine>(&*db);
     if (engine_name == "mars") engine = std::make_unique<MarsEngine>(&*db);
     if (engine_name == "qcluster") {
-      QclusterOptions qcluster_options;
-      qcluster_options.cache = run_cache.get();
-      engine = std::make_unique<QclusterEngine>(&*db, qcluster_options);
+      engine = std::make_unique<QclusterEngine>(&*db);
     }
     if (engine_name == "fagin") engine = std::make_unique<FaginEngine>(&*db);
     if (engine == nullptr) {
@@ -488,8 +507,8 @@ int CmdSnapshot(int argc, char** argv) {
   }
 
   if (verify) {
-    const std::size_t threads =
-        static_cast<std::size_t>(IntFlag(argc, argv, "threads", 0));
+    std::size_t threads = 0;
+    if (!SizeFlag<std::size_t>(argc, argv, "threads", 0, &threads)) return 1;
     ThreadPool pool(threads);
     SnapshotLoadOptions options;
     options.pool = &pool;
@@ -536,8 +555,8 @@ int CmdIndexz(int argc, char** argv) {
   const std::string db_path = Flag(argc, argv, "db", "db.bin");
   const std::string rfs_path = Flag(argc, argv, "rfs", "");
   const std::string out_path = Flag(argc, argv, "out", "");
-  const std::size_t hot_n =
-      static_cast<std::size_t>(IntFlag(argc, argv, "hot", 16));
+  std::size_t hot_n = 0;
+  if (!SizeFlag<std::size_t>(argc, argv, "hot", 16, &hot_n)) return 1;
 
   StatusOr<RfsTree> rfs = Status::Internal("rfs load not run");
   if (!rfs_path.empty()) {
@@ -770,32 +789,32 @@ int CmdServe(int argc, char** argv) {
   options.rfs_path = Flag(argc, argv, "rfs", "");
   options.address = Flag(argc, argv, "address", "127.0.0.1");
   options.port = static_cast<int>(IntFlag(argc, argv, "port", 0));
-  options.display_size =
-      static_cast<std::size_t>(IntFlag(argc, argv, "display", 21));
-  options.default_k = static_cast<std::size_t>(IntFlag(argc, argv, "k", 50));
-  options.trace_sample_every = static_cast<std::size_t>(
-      IntFlag(argc, argv, "trace-sample-every",
-              static_cast<std::int64_t>(options.trace_sample_every)));
+  std::size_t threads = 0;
+  if (!SizeFlag<std::size_t>(argc, argv, "display", 21,
+                             &options.display_size) ||
+      !SizeFlag<std::size_t>(argc, argv, "k", 50, &options.default_k) ||
+      !SizeFlag(argc, argv, "trace-sample-every", options.trace_sample_every,
+                &options.trace_sample_every) ||
+      !SizeFlag(argc, argv, "cache-mb", options.cache_mb,
+                &options.cache_mb) ||
+      !SizeFlag(argc, argv, "wide-events-max-mb", options.wide_events_max_mb,
+                &options.wide_events_max_mb) ||
+      !SizeFlag(argc, argv, "slo-jaccard-floor",
+                options.slo_jaccard_floor_permille,
+                &options.slo_jaccard_floor_permille) ||
+      !SizeFlag(argc, argv, "history-interval-ms",
+                options.history_interval_ms, &options.history_interval_ms) ||
+      !SizeFlag<std::size_t>(argc, argv, "threads", 0, &threads)) {
+    return 1;
+  }
   options.slow_trace_ms =
       DoubleFlag(argc, argv, "slow-trace-ms", options.slow_trace_ms);
   options.profile_hz = static_cast<int>(IntFlag(argc, argv, "profile-hz", 0));
-  options.cache_mb = static_cast<std::size_t>(
-      IntFlag(argc, argv, "cache-mb",
-              static_cast<std::int64_t>(options.cache_mb)));
   options.wide_events_path = Flag(argc, argv, "wide-events", "");
-  options.wide_events_max_mb = static_cast<std::size_t>(
-      IntFlag(argc, argv, "wide-events-max-mb",
-              static_cast<std::int64_t>(options.wide_events_max_mb)));
   options.slo_latency_ms =
       DoubleFlag(argc, argv, "slo-latency-ms", options.slo_latency_ms);
   options.slo_latency_objective = DoubleFlag(
       argc, argv, "slo-latency-objective", options.slo_latency_objective);
-  options.slo_jaccard_floor_permille = static_cast<std::uint64_t>(
-      IntFlag(argc, argv, "slo-jaccard-floor",
-              static_cast<std::int64_t>(options.slo_jaccard_floor_permille)));
-  options.history_interval_ms = static_cast<std::uint64_t>(
-      IntFlag(argc, argv, "history-interval-ms",
-              static_cast<std::int64_t>(options.history_interval_ms)));
   for (int i = 2; i < argc; ++i) {
     // Bare --profile-hz (no value) means "on at the low background rate".
     if (std::strcmp(argv[i], "--profile-hz") == 0) {
@@ -805,7 +824,7 @@ int CmdServe(int argc, char** argv) {
   const std::string port_file = Flag(argc, argv, "port-file", "");
   const std::int64_t max_seconds = IntFlag(argc, argv, "max-seconds", 0);
 
-  ThreadPool pool(static_cast<std::size_t>(IntFlag(argc, argv, "threads", 0)));
+  ThreadPool pool(threads);
   options.pool = &pool;
 
   serve::ServeApp app(options);

@@ -94,10 +94,13 @@ StatusOr<FeatureNormalizer> FeatureNormalizer::Deserialize(
   FeatureNormalizer n;
   n.mean_.resize(dim);
   n.stddev_.resize(dim);
-  const char* p = bytes.data() + sizeof(dim);
-  std::memcpy(n.mean_.data(), p, dim * sizeof(double));
-  std::memcpy(n.stddev_.data(), p + dim * sizeof(double),
-              dim * sizeof(double));
+  // An empty vector's data() may be null, which memcpy must never see.
+  if (dim > 0) {
+    const char* p = bytes.data() + sizeof(dim);
+    std::memcpy(n.mean_.data(), p, dim * sizeof(double));
+    std::memcpy(n.stddev_.data(), p + dim * sizeof(double),
+                dim * sizeof(double));
+  }
   return n;
 }
 

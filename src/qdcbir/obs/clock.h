@@ -19,6 +19,15 @@ inline std::uint64_t MonotonicNanos() {
           .count());
 }
 
+/// Milliseconds since the Unix epoch on the system clock: the wall-time
+/// stamp of log entries and wide events.
+inline std::uint64_t UnixMillis() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+}
+
 /// A small dense id for the calling thread, assigned on first use. Trace
 /// events and metric shards key on it instead of `std::thread::id` so the
 /// exported data stays compact and stable within a run.

@@ -1,10 +1,10 @@
 #include "qdcbir/obs/log.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/trace_context.h"
 
@@ -13,39 +13,9 @@ namespace obs {
 
 namespace {
 
-std::uint64_t UnixMillis() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
 const char* Basename(const char* path) {
   const char* slash = std::strrchr(path, '/');
   return slash != nullptr ? slash + 1 : path;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace

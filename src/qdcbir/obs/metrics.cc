@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstdio>
 
+#include "qdcbir/obs/json.h"
+
 namespace qdcbir {
 namespace obs {
 
@@ -265,13 +267,6 @@ MetricsRegistry::RegistrySnapshot MetricsRegistry::Snapshot() const {
 
 namespace {
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c == '\n' ? ' ' : c);
-  }
-}
-
 void AppendNumber(std::string& out, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
@@ -287,9 +282,8 @@ std::string MetricsRegistry::SnapshotJson() const {
   for (const auto& [name, value] : snap.counters) {
     if (!first) out.push_back(',');
     first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    out += "\":";
+    AppendJsonString(&out, name);
+    out += ":";
     out += std::to_string(value);
   }
   out += "},\"gauges\":{";
@@ -297,9 +291,8 @@ std::string MetricsRegistry::SnapshotJson() const {
   for (const auto& [name, value_max] : snap.gauges) {
     if (!first) out.push_back(',');
     first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    out += "\":{\"value\":";
+    AppendJsonString(&out, name);
+    out += ":{\"value\":";
     out += std::to_string(value_max.first);
     out += ",\"max\":";
     out += std::to_string(value_max.second);
@@ -310,9 +303,8 @@ std::string MetricsRegistry::SnapshotJson() const {
   for (const auto& [name, h] : snap.histograms) {
     if (!first) out.push_back(',');
     first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    out += "\":{\"count\":";
+    AppendJsonString(&out, name);
+    out += ":{\"count\":";
     out += std::to_string(h.count);
     out += ",\"sum\":";
     out += std::to_string(h.sum);

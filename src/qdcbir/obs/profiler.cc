@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/span_stack.h"
 
@@ -324,27 +325,6 @@ std::string SymbolizePc(std::uintptr_t pc, bool is_return_address,
   }
   (*cache)[lookup] = name;
   return name;
-}
-
-void AppendJsonString(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (const char c : value) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/resource_stats.h"
+#include "qdcbir/obs/wide_event.h"
 
 namespace qdcbir {
 namespace obs {
@@ -25,39 +26,6 @@ std::string_view ViewOf(const char* data, std::size_t max) {
   return std::string_view(data, len);
 }
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendField(std::string* out, const char* name, std::uint64_t value,
-                 bool* first) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  *out += '"';
-  *out += name;
-  *out += "\":";
-  *out += std::to_string(value);
-}
-
 }  // namespace
 
 void QueryAuditRecord::set_engine(std::string_view name) {
@@ -73,9 +41,6 @@ void QueryAuditRecord::SetTelemetry(const ResourceUsage& usage,
   distance_evals = usage.distance_evals;
   feature_bytes = usage.feature_bytes;
   leaves_visited = usage.leaves_visited;
-  tiles_gathered = usage.tiles_gathered;
-  container_allocs = usage.container_allocs;
-  alloc_bytes = usage.alloc_bytes;
   cache_hits = usage.cache_hits;
   cache_misses = usage.cache_misses;
   quality_jaccard_permille = quality.last_jaccard_permille;
@@ -104,7 +69,43 @@ std::string QueryAuditRecord::trace_hex() const {
   return std::string(buf, 32);
 }
 
-void QueryLog::Record(QueryAuditRecord record) {
+void AddAuditFields(const QueryAuditRecord& record, std::string_view label,
+                    WideEventBuilder& event) {
+  event.Add("sequence", record.sequence)
+      .Add("engine", record.engine_view())
+      .Add("label", label)
+      .Add("seed", record.seed)
+      .Add("rounds", record.rounds)
+      .Add("picks", record.picks)
+      .Add("results", record.results)
+      .Add("subqueries", record.subqueries)
+      .Add("boundary_expansions", record.boundary_expansions)
+      .Add("expanded_subqueries", record.expanded_subqueries)
+      .Add("nodes_visited", record.nodes_visited)
+      .Add("candidates_scored", record.candidates_scored)
+      .Add("nodes_touched", record.nodes_touched)
+      .Add("distinct_nodes_sampled", record.distinct_nodes_sampled)
+      .Add("rounds_ns", record.rounds_ns)
+      .Add("finalize_ns", record.finalize_ns)
+      .Add("total_ns", record.total_ns)
+      .Add("distance_evals", record.distance_evals)
+      .Add("feature_bytes", record.feature_bytes)
+      .Add("leaves_visited", record.leaves_visited)
+      .Add("cache_hits", record.cache_hits)
+      .Add("cache_misses", record.cache_misses)
+      .Add("quality_jaccard_permille", record.quality_jaccard_permille)
+      .Add("quality_rank_churn", record.quality_rank_churn)
+      .Add("quality_rounds_to_stability", record.quality_rounds_to_stability)
+      .Add("outcome", SessionOutcomeName(
+                          static_cast<SessionOutcome>(record.quality_outcome)));
+  if (record.quality_oracle_precision_permille_plus1 > 0) {
+    event.Add("oracle_precision_permille",
+              record.quality_oracle_precision_permille_plus1 - 1);
+  }
+  event.Add("trace", record.trace_hex());
+}
+
+std::uint64_t QueryLog::Record(QueryAuditRecord record) {
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
   record.sequence = seq;
   Slot& slot = slots_[seq % kCapacity];
@@ -120,7 +121,7 @@ void QueryLog::Record(QueryAuditRecord record) {
         "querylog.dropped",
         "Session audit records dropped on a query-log slot collision");
     dropped_counter.Add(1);
-    return;
+    return seq;
   }
 
   std::uint64_t words[kWords];
@@ -129,6 +130,7 @@ void QueryLog::Record(QueryAuditRecord record) {
     slot.words[w].store(words[w], std::memory_order_relaxed);
   }
   slot.version.store(version + 2, std::memory_order_release);
+  return seq;
 }
 
 std::vector<QueryAuditRecord> QueryLog::Snapshot() const {
@@ -171,58 +173,13 @@ std::string QueryLog::RenderJson(std::size_t limit) const {
   out += ",\"total_recorded\":" + std::to_string(total_recorded());
   out += ",\"dropped\":" + std::to_string(dropped());
   out += ",\"records\":[";
-  bool first_record = true;
+  bool first = true;
   for (const QueryAuditRecord& record : records) {
-    if (!first_record) out.push_back(',');
-    first_record = false;
-    out.push_back('{');
-    bool first = true;
-    AppendField(&out, "sequence", record.sequence, &first);
-    out += ",\"engine\":";
-    AppendJsonString(&out, record.engine_view());
-    out += ",\"label\":";
-    AppendJsonString(&out, record.label_view());
-    AppendField(&out, "seed", record.seed, &first);
-    AppendField(&out, "rounds", record.rounds, &first);
-    AppendField(&out, "picks", record.picks, &first);
-    AppendField(&out, "results", record.results, &first);
-    AppendField(&out, "subqueries", record.subqueries, &first);
-    AppendField(&out, "boundary_expansions", record.boundary_expansions,
-                &first);
-    AppendField(&out, "expanded_subqueries", record.expanded_subqueries,
-                &first);
-    AppendField(&out, "nodes_visited", record.nodes_visited, &first);
-    AppendField(&out, "candidates_scored", record.candidates_scored, &first);
-    AppendField(&out, "nodes_touched", record.nodes_touched, &first);
-    AppendField(&out, "distinct_nodes_sampled",
-                record.distinct_nodes_sampled, &first);
-    AppendField(&out, "rounds_ns", record.rounds_ns, &first);
-    AppendField(&out, "finalize_ns", record.finalize_ns, &first);
-    AppendField(&out, "total_ns", record.total_ns, &first);
-    AppendField(&out, "distance_evals", record.distance_evals, &first);
-    AppendField(&out, "feature_bytes", record.feature_bytes, &first);
-    AppendField(&out, "leaves_visited", record.leaves_visited, &first);
-    AppendField(&out, "tiles_gathered", record.tiles_gathered, &first);
-    AppendField(&out, "container_allocs", record.container_allocs, &first);
-    AppendField(&out, "alloc_bytes", record.alloc_bytes, &first);
-    AppendField(&out, "cache_hits", record.cache_hits, &first);
-    AppendField(&out, "cache_misses", record.cache_misses, &first);
-    AppendField(&out, "quality_jaccard_permille",
-                record.quality_jaccard_permille, &first);
-    AppendField(&out, "quality_rank_churn", record.quality_rank_churn,
-                &first);
-    AppendField(&out, "quality_rounds_to_stability",
-                record.quality_rounds_to_stability, &first);
-    out += ",\"outcome\":";
-    AppendJsonString(&out, SessionOutcomeName(static_cast<SessionOutcome>(
-                               record.quality_outcome)));
-    if (record.quality_oracle_precision_permille_plus1 > 0) {
-      AppendField(&out, "oracle_precision_permille",
-                  record.quality_oracle_precision_permille_plus1 - 1, &first);
-    }
-    out += ",\"trace\":";
-    AppendJsonString(&out, record.trace_hex());
-    out.push_back('}');
+    if (!first) out.push_back(',');
+    first = false;
+    WideEventBuilder row;
+    AddAuditFields(record, record.label_view(), row);
+    out += row.Build();
   }
   out += "]}";
   return out;

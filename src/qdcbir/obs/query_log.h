@@ -13,6 +13,7 @@ namespace obs {
 
 struct ResourceUsage;
 struct SessionQuality;
+class WideEventBuilder;
 
 /// One completed retrieval session, as shown on `/queryz`. Fixed-size and
 /// trivially copyable so records can live in the lock-free audit ring:
@@ -52,9 +53,6 @@ struct QueryAuditRecord {
   std::uint64_t distance_evals = 0;
   std::uint64_t feature_bytes = 0;
   std::uint64_t leaves_visited = 0;
-  std::uint64_t tiles_gathered = 0;
-  std::uint64_t container_allocs = 0;
-  std::uint64_t alloc_bytes = 0;
   /// Cache traffic of the session (src/qdcbir/cache/): lookups served from
   /// memory vs. computed. Zero on both when the session ran uncached.
   std::uint64_t cache_hits = 0;
@@ -85,6 +83,13 @@ struct QueryAuditRecord {
 static_assert(sizeof(QueryAuditRecord) % sizeof(std::uint64_t) == 0,
               "record must pack into whole atomic words");
 
+/// Adds the record's fields to `event` in `/queryz` row order: the one
+/// field list behind both `/queryz` rows and session wide events. `label`
+/// stands in for the record's truncated copy (a wide event passes the
+/// session's full label).
+void AddAuditFields(const QueryAuditRecord& record, std::string_view label,
+                    WideEventBuilder& event);
+
 /// A fixed-capacity lock-free ring of the most recent completed sessions.
 /// Writers claim a slot by sequence number and publish through a per-slot
 /// seqlock version (even = stable, odd = write in progress); readers retry
@@ -103,8 +108,8 @@ class QueryLog {
   QueryLog& operator=(const QueryLog&) = delete;
 
   /// Assigns the next sequence number and publishes a copy of `record`
-  /// (with `sequence` filled in) into the ring.
-  void Record(QueryAuditRecord record);
+  /// (with `sequence` filled in) into the ring. Returns that sequence.
+  std::uint64_t Record(QueryAuditRecord record);
 
   /// A consistent copy of every stable record, ascending by sequence.
   /// Records being overwritten concurrently are skipped, never torn.

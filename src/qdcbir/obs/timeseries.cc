@@ -5,34 +5,12 @@
 #include <cstdio>
 
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 
 namespace qdcbir {
 namespace obs {
 
 namespace {
-
-void AppendJsonString(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (const char c : value) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendNumber(std::string* out, double value) {
   char buffer[40];

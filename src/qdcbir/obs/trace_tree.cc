@@ -3,28 +3,11 @@
 #include <algorithm>
 #include <map>
 
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 
 namespace qdcbir {
 namespace obs {
-
-namespace {
-
-void AppendJsonString(std::string* out, const char* s) {
-  out->push_back('"');
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-  }
-  out->push_back('"');
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  AppendJsonString(out, s.c_str());
-}
-
-}  // namespace
 
 void TraceBuffer::Append(const SpanRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -132,7 +115,7 @@ void AppendSpanTree(
   const std::uint64_t self_ns = child_ns < duration ? duration - child_ns : 0;
 
   *out += "{\"name\":";
-  AppendJsonString(out, span.name);
+  AppendJsonString(out, span.name != nullptr ? span.name : "");
   *out += ",\"span_id\":" + std::to_string(span.span_id);
   *out += ",\"tid\":" + std::to_string(span.tid);
   *out += ",\"start_ns\":" + std::to_string(span.start_ns);
@@ -146,7 +129,7 @@ void AppendSpanTree(
     for (auto it = nlo; it != nhi; ++it) {
       if (!first) out->push_back(',');
       first = false;
-      AppendJsonString(out, it->second->key);
+      AppendJsonString(out, it->second->key != nullptr ? it->second->key : "");
       out->push_back(':');
       *out += std::to_string(it->second->value);
     }

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <system_error>
 
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 
 namespace qdcbir {
@@ -33,27 +34,6 @@ struct WideEventMetrics {
     return *m;
   }
 };
-
-void AppendEscaped(std::string& out, const std::string& value) {
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -113,41 +93,34 @@ std::uint64_t WideEventSink::rotations() const {
   return rotations_;
 }
 
-void WideEventBuilder::Key(const std::string& key) {
-  body_ += body_.empty() ? "\"" : ",\"";
-  AppendEscaped(body_, key);
-  body_ += "\":";
+void WideEventBuilder::Key(std::string_view key) {
+  if (!body_.empty()) body_.push_back(',');
+  AppendJsonString(&body_, key);
+  body_.push_back(':');
 }
 
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
-                                        const std::string& value) {
+WideEventBuilder& WideEventBuilder::Add(std::string_view key,
+                                        std::string_view value) {
   Key(key);
-  body_.push_back('"');
-  AppendEscaped(body_, value);
-  body_.push_back('"');
+  AppendJsonString(&body_, value);
   return *this;
 }
 
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
-                                        const char* value) {
-  return Add(key, std::string(value));
-}
-
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
+WideEventBuilder& WideEventBuilder::Add(std::string_view key,
                                         std::uint64_t value) {
   Key(key);
   body_ += std::to_string(value);
   return *this;
 }
 
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
+WideEventBuilder& WideEventBuilder::Add(std::string_view key,
                                         std::int64_t value) {
   Key(key);
   body_ += std::to_string(value);
   return *this;
 }
 
-WideEventBuilder& WideEventBuilder::Add(const std::string& key, double value) {
+WideEventBuilder& WideEventBuilder::Add(std::string_view key, double value) {
   Key(key);
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
@@ -155,7 +128,7 @@ WideEventBuilder& WideEventBuilder::Add(const std::string& key, double value) {
   return *this;
 }
 
-WideEventBuilder& WideEventBuilder::Add(const std::string& key, bool value) {
+WideEventBuilder& WideEventBuilder::Add(std::string_view key, bool value) {
   Key(key);
   body_ += value ? "true" : "false";
   return *this;

@@ -14,13 +14,16 @@
 /// purely observational — emission happens after the ranked response is
 /// built, so ranked output is byte-identical with the sink on or off.
 ///
-/// `WideEventBuilder` assembles one event; callers add typed fields and
-/// take the rendered line. `qdcbir_tool events summarize` aggregates these
-/// files offline.
+/// `WideEventBuilder` assembles one flat JSON object; callers add typed
+/// fields and take the rendered line. It renders `/queryz` rows too, so a
+/// session's row and its event share one field list (`AddAuditFields` in
+/// obs/query_log.h). `qdcbir_tool events summarize` aggregates the files
+/// offline.
 
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace qdcbir {
 namespace obs {
@@ -60,18 +63,20 @@ class WideEventSink {
 /// for a fixed call sequence).
 class WideEventBuilder {
  public:
-  WideEventBuilder& Add(const std::string& key, const std::string& value);
-  WideEventBuilder& Add(const std::string& key, const char* value);
-  WideEventBuilder& Add(const std::string& key, std::uint64_t value);
-  WideEventBuilder& Add(const std::string& key, std::int64_t value);
-  WideEventBuilder& Add(const std::string& key, double value);
-  WideEventBuilder& Add(const std::string& key, bool value);
+  WideEventBuilder& Add(std::string_view key, std::string_view value);
+  WideEventBuilder& Add(std::string_view key, const char* value) {
+    return Add(key, std::string_view(value));
+  }
+  WideEventBuilder& Add(std::string_view key, std::uint64_t value);
+  WideEventBuilder& Add(std::string_view key, std::int64_t value);
+  WideEventBuilder& Add(std::string_view key, double value);
+  WideEventBuilder& Add(std::string_view key, bool value);
 
   /// The finished `{...}` object (no trailing newline).
   std::string Build() const;
 
  private:
-  void Key(const std::string& key);
+  void Key(std::string_view key);
   std::string body_;
 };
 

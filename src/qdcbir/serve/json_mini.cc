@@ -2,8 +2,9 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+
+#include "qdcbir/obs/json.h"
 
 namespace qdcbir {
 namespace serve {
@@ -257,26 +258,8 @@ StatusOr<JsonValue> ParseJson(std::string_view text) {
 }
 
 std::string JsonQuote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+  std::string out;
+  obs::AppendJsonString(&out, s);
   return out;
 }
 

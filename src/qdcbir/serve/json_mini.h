@@ -57,7 +57,7 @@ struct JsonValue {
 /// Trailing non-whitespace bytes are an error.
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
-/// `s` as a quoted, escaped JSON string literal.
+/// `s` as a quoted, escaped JSON string literal (`obs::AppendJsonString`).
 std::string JsonQuote(std::string_view s);
 
 }  // namespace serve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -45,28 +46,19 @@ constexpr const char* kPromType = "text/plain; version=0.0.4; charset=utf-8";
 /// `/metrics` leaf families) when the request names no `?n=`.
 constexpr std::size_t kHotLeafDefault = 16;
 
+/// Clears a single-flight busy flag when the request that set it returns.
+struct BusyReset {
+  std::atomic<bool>& flag;
+  ~BusyReset() { flag.store(false, std::memory_order_release); }
+};
+
 obs::HttpResponse JsonError(int status, const std::string& message) {
   return obs::HttpResponse{status, kJsonType,
                            "{\"error\":" + JsonQuote(message) + "}\n"};
 }
 
-void AppendDisplayJson(std::string* out,
-                       const std::vector<DisplayGroup>& display) {
-  *out += "\"display\":[";
-  bool first_group = true;
-  for (const DisplayGroup& group : display) {
-    if (!first_group) out->push_back(',');
-    first_group = false;
-    *out += "{\"node\":" + std::to_string(group.node) + ",\"images\":[";
-    bool first = true;
-    for (const ImageId id : group.images) {
-      if (!first) out->push_back(',');
-      first = false;
-      *out += std::to_string(id);
-    }
-    *out += "]}";
-  }
-  out->push_back(']');
+obs::HttpResponse NotReady(Readiness state) {
+  return JsonError(503, std::string("not ready: ") + ReadinessName(state));
 }
 
 /// Value of `key` in a raw `a=1&b=2` query string, "" when absent. The
@@ -86,13 +78,24 @@ std::string QueryParam(const std::string& query, std::string_view key) {
   return "";
 }
 
-double QueryParamDouble(const std::string& query, std::string_view key,
-                        double fallback) {
+/// `?key=` as a finite number. Absent keeps `fallback`; a value that is
+/// not a finite decimal number (garbage, nan, inf, or past a double's
+/// range) returns false so the handler can answer 400 before any
+/// float-to-integer cast.
+bool ParseFiniteParam(const std::string& query, std::string_view key,
+                      double fallback, double* out) {
   const std::string raw = QueryParam(query, key);
-  if (raw.empty()) return fallback;
+  if (raw.empty()) {
+    *out = fallback;
+    return true;
+  }
   char* end = nullptr;
   const double value = std::strtod(raw.c_str(), &end);
-  return (end == raw.c_str() || *end != '\0') ? fallback : value;
+  if (end == raw.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 /// Display/result ids flattened for the quality tracker (which compares
@@ -105,8 +108,20 @@ std::vector<std::uint64_t> DisplayIds(const std::vector<DisplayGroup>& display) 
   return ids;
 }
 
-std::vector<std::uint64_t> RankedIds(const std::vector<ImageId>& ranked) {
-  return std::vector<std::uint64_t>(ranked.begin(), ranked.end());
+/// Feeds the final ranked list to the session's quality tracker and marks
+/// the session finalized. Called inside the finalize span, so the proxies
+/// land as annotations on the session's trace.
+void ObserveFinalRanking(obs::SessionQualityTracker& quality,
+                         const QdResult& result, std::size_t subqueries) {
+  const std::vector<ImageId> ranked = result.Flatten();
+  quality.ObserveRound(std::vector<std::uint64_t>(ranked.begin(), ranked.end()),
+                       subqueries);
+  quality.Finalized();
+  QDCBIR_SPAN_ANNOTATE(
+      "quality.topk_jaccard_permille",
+      static_cast<std::int64_t>(quality.last_jaccard_permille()));
+  QDCBIR_SPAN_ANNOTATE("quality.rank_churn",
+                       static_cast<std::int64_t>(quality.last_rank_churn()));
 }
 
 /// `?n=` limit of /queryz and /logz. Absent keeps `fallback`; a positive
@@ -150,6 +165,121 @@ obs::HttpResponse WithTrace(obs::HttpResponse response,
                                 ",");
   }
   return response;
+}
+
+/// The reply to `/api/query` and to a feedback round that does not
+/// finalize: the session's next display.
+obs::HttpResponse DisplayReply(std::uint64_t session_id, int round,
+                               const std::vector<DisplayGroup>& display,
+                               const obs::TraceContext& trace) {
+  std::string out = "{\"session\":" + std::to_string(session_id) +
+                    ",\"round\":" + std::to_string(round) + ",\"display\":[";
+  bool first_group = true;
+  for (const DisplayGroup& group : display) {
+    if (!first_group) out.push_back(',');
+    first_group = false;
+    out += "{\"node\":" + std::to_string(group.node) + ",\"images\":[";
+    bool first = true;
+    for (const ImageId id : group.images) {
+      if (!first) out.push_back(',');
+      first = false;
+      out += std::to_string(id);
+    }
+    out += "]}";
+  }
+  out += "]}\n";
+  return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)}, trace);
+}
+
+/// The finalize reply: the ranked ids, the result groups, and the
+/// session's engine statistics and timings.
+obs::HttpResponse FinalizeReply(std::uint64_t session_id,
+                                const QdResult& result,
+                                const QdSessionStats& stats,
+                                std::uint64_t rounds_ns,
+                                std::uint64_t finalize_ns,
+                                const obs::TraceContext& trace) {
+  std::string out = "{\"session\":" + std::to_string(session_id) +
+                    ",\"results\":[";
+  bool first = true;
+  for (const ImageId id : result.Flatten()) {
+    if (!first) out.push_back(',');
+    first = false;
+    out += std::to_string(id);
+  }
+  out += "],\"groups\":[";
+  first = true;
+  for (const ResultGroup& group : result.groups) {
+    if (!first) out.push_back(',');
+    first = false;
+    out += "{\"leaf\":" + std::to_string(group.leaf) +
+           ",\"search_node\":" + std::to_string(group.search_node) +
+           ",\"relevant_count\":" + std::to_string(group.relevant_count) +
+           ",\"images\":[";
+    bool first_image = true;
+    for (const KnnMatch& match : group.images) {
+      if (!first_image) out.push_back(',');
+      first_image = false;
+      out += std::to_string(match.id);
+    }
+    out += "]}";
+  }
+  out += "],\"stats\":{\"subqueries\":" +
+         std::to_string(stats.localized_subqueries) +
+         ",\"boundary_expansions\":" +
+         std::to_string(stats.boundary_expansions) +
+         ",\"expanded_subqueries\":" +
+         std::to_string(stats.expanded_subqueries) +
+         ",\"knn_nodes_visited\":" + std::to_string(stats.knn_nodes_visited) +
+         ",\"knn_candidates\":" + std::to_string(stats.knn_candidates) +
+         ",\"nodes_touched\":" + std::to_string(stats.nodes_touched) +
+         ",\"distinct_nodes_sampled\":" +
+         std::to_string(stats.distinct_nodes_sampled) +
+         "},\"rounds_ns\":" + std::to_string(rounds_ns) +
+         ",\"finalize_ns\":" + std::to_string(finalize_ns) + "}\n";
+  return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)}, trace);
+}
+
+/// The decoded `relevant` and `finalize` fields of an `/api/feedback` body.
+struct FeedbackBody {
+  std::vector<ImageId> relevant;
+  bool finalize = false;
+  std::size_t k = 0;  ///< result size when finalizing
+};
+
+/// "relevant" is an array of image ids; "finalize" is true or a result
+/// size k in [0, images] (0 = `default_k`). A k past the corpus size is
+/// refused: Finalize's quota loop runs k times. Errors name the field.
+StatusOr<FeedbackBody> DecodeFeedback(const JsonValue& body,
+                                      std::size_t images,
+                                      std::size_t default_k) {
+  FeedbackBody decoded;
+  if (const JsonValue* ids = body.Find("relevant")) {
+    if (!ids->is_array()) {
+      return Status::InvalidArgument("\"relevant\" must be an array");
+    }
+    for (const JsonValue& id : ids->items) {
+      std::uint64_t image = 0;
+      if (!id.AsUint(std::numeric_limits<ImageId>::max(), &image)) {
+        return Status::InvalidArgument("\"relevant\" must hold image ids");
+      }
+      decoded.relevant.push_back(static_cast<ImageId>(image));
+    }
+  }
+  const JsonValue* finalize = body.Find("finalize");
+  decoded.finalize = finalize != nullptr;
+  decoded.k = default_k;
+  if (finalize != nullptr &&
+      !(finalize->kind == JsonValue::Kind::kBool && finalize->boolean)) {
+    std::uint64_t value = 0;
+    if (!finalize->AsUint(images, &value)) {
+      return Status::InvalidArgument(
+          "\"finalize\" must be true or an integer in [0, " +
+          std::to_string(images) + "]");
+    }
+    if (value > 0) decoded.k = static_cast<std::size_t>(value);
+  }
+  return decoded;
 }
 
 }  // namespace
@@ -331,10 +461,7 @@ bool ServeApp::Start(std::string* error) {
     cache_options.budget_bytes = options_.cache_mb << 20;
     cache_ = std::make_unique<cache::CacheManager>(cache_options);
   }
-  start_epoch_seconds_ = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  start_epoch_seconds_ = obs::UnixMillis() / 1000;
   start_mono_ns_ = obs::MonotonicNanos();
   if (!server_.Start(error)) {
     SetReadiness(Readiness::kFailed);
@@ -373,48 +500,17 @@ void ServeApp::Stop() {
   if (loader_.joinable()) loader_.join();
 
   // Sessions still open after the listener drained never reached finalize:
-  // classify them (abandoned, or errored when their last round failed),
-  // publish their quality telemetry, and give them /queryz rows and wide
-  // events so abandoned traffic is as visible as completed traffic.
+  // retire them unfinalized (abandoned, or errored when their last round
+  // failed) so abandoned traffic is as visible as completed traffic.
   std::map<std::uint64_t, std::shared_ptr<Session>> leftovers;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     leftovers.swap(sessions_);
   }
   for (const auto& [session_id, session] : leftovers) {
-    const obs::SessionQuality quality = session->quality.Summary();
-    const obs::QueryAuditRecord record =
-        session->AuditRecord(quality, /*results=*/0, /*finalize_ns=*/0);
-    obs::QueryLog::Global().Record(record);
-    FinishSessionObservability(*session, session_id, quality, record);
+    RetireSession(session_id, *session, /*result=*/nullptr,
+                  /*finalize_ns=*/0);
   }
-}
-
-obs::QueryAuditRecord ServeApp::Session::AuditRecord(
-    const obs::SessionQuality& summary, std::uint64_t results,
-    std::uint64_t finalize_ns) const {
-  obs::QueryAuditRecord record;
-  record.set_engine("qd");
-  record.set_label(label);
-  record.seed = seed;
-  record.rounds = static_cast<std::uint64_t>(qd.round());
-  record.picks = picks;
-  record.results = results;
-  const QdSessionStats& stats = qd.stats();
-  record.subqueries = stats.localized_subqueries;
-  record.boundary_expansions = stats.boundary_expansions;
-  record.expanded_subqueries = stats.expanded_subqueries;
-  record.nodes_visited = stats.knn_nodes_visited;
-  record.candidates_scored = stats.knn_candidates;
-  record.nodes_touched = stats.nodes_touched;
-  record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
-  record.rounds_ns = rounds_ns;
-  record.finalize_ns = finalize_ns;
-  record.total_ns = rounds_ns + finalize_ns;
-  record.trace_hi = trace.trace_hi;
-  record.trace_lo = trace.trace_lo;
-  record.SetTelemetry(resources.Snapshot(), summary);
-  return record;
 }
 
 std::string ServeApp::load_error() const {
@@ -522,10 +618,7 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
   if (request.method != "POST") {
     return JsonError(405, "POST a JSON body to open a session");
   }
-  if (readiness() != Readiness::kServing) {
-    return JsonError(503, std::string("not ready: ") +
-                              ReadinessName(readiness()));
-  }
+  if (readiness() != Readiness::kServing) return NotReady(readiness());
 
   JsonValue body;
   if (!request.body.empty()) {
@@ -564,10 +657,7 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
     // `sessions_mu_`, so a session is only ever registered — and the
     // corpus only ever touched past this point — against a snapshot that
     // stays loaded until the session is erased.
-    if (readiness() != Readiness::kServing) {
-      return JsonError(503, std::string("not ready: ") +
-                                ReadinessName(readiness()));
-    }
+    if (readiness() != Readiness::kServing) return NotReady(readiness());
     if (sessions_.size() >= options_.max_sessions) {
       return JsonError(429, "too many open sessions");
     }
@@ -612,12 +702,8 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
                                 session->qd.stats().localized_subqueries);
   session->busy.store(false, std::memory_order_release);
 
-  std::string out = "{\"session\":" + std::to_string(session_id) +
-                    ",\"round\":" + std::to_string(session->qd.round()) + ",";
-  AppendDisplayJson(&out, display);
-  out += "}\n";
-  return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)},
-                   session->trace);
+  return DisplayReply(session_id, session->qd.round(), display,
+                      session->trace);
 }
 
 obs::HttpResponse ServeApp::HandleApiFeedback(
@@ -625,10 +711,7 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   if (request.method != "POST") {
     return JsonError(405, "POST a JSON body with session and relevant ids");
   }
-  if (readiness() != Readiness::kServing) {
-    return JsonError(503, std::string("not ready: ") +
-                              ReadinessName(readiness()));
-  }
+  if (readiness() != Readiness::kServing) return NotReady(readiness());
   StatusOr<JsonValue> parsed = ParseJson(request.body);
   if (!parsed.ok()) return JsonError(400, parsed.status().ToString());
   const JsonValue& body = *parsed;
@@ -643,9 +726,7 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     const auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-      return JsonError(404, "no such session");
-    }
+    if (it == sessions_.end()) return JsonError(404, "no such session");
     session = it->second;
   }
   // One request drives a session at a time. The busy flag (not the map
@@ -654,50 +735,23 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   if (session->busy.exchange(true, std::memory_order_acquire)) {
     return JsonError(409, "session busy");
   }
-  struct BusyReset {
-    std::atomic<bool>& flag;
-    ~BusyReset() { flag.store(false, std::memory_order_release); }
-  } busy_reset{session->busy};
+  const BusyReset busy_reset{session->busy};
 
-  // The session's trace (fixed at open) is authoritative for the rest of
-  // the handler: every span, log entry, and exemplar below carries it. A
-  // client traceparent on this request is accepted but does not re-identify
-  // the session. The session's sink spans the whole handler too: Feedback
-  // and Finalize work (on this thread and every pool worker the engine fans
-  // out to) merges into it.
+  // The session's trace (fixed at open; a client traceparent here does not
+  // re-identify it) and sink span the rest of the handler: every span, log
+  // entry and exemplar carries the trace, and Feedback and Finalize work on
+  // this thread and every pool worker merges into the sink.
   const obs::ScopedTaskContext scoped({session->trace, nullptr,
                                        &session->resources});
 
-  std::vector<ImageId> relevant;
-  if (const JsonValue* ids = body.Find("relevant")) {
-    if (!ids->is_array()) return JsonError(400, "\"relevant\" must be an array");
-    for (const JsonValue& id : ids->items) {
-      std::uint64_t image = 0;
-      if (!id.AsUint(std::numeric_limits<ImageId>::max(), &image)) {
-        return JsonError(400, "\"relevant\" must hold image ids");
-      }
-      relevant.push_back(static_cast<ImageId>(image));
-    }
-  }
-  // "finalize" is true or a result size k (0 = the server default). A k
-  // past the corpus size is refused: Finalize's quota loop runs k times.
-  const JsonValue* finalize = body.Find("finalize");
-  std::size_t k = options_.default_k;
-  if (finalize != nullptr &&
-      !(finalize->kind == JsonValue::Kind::kBool && finalize->boolean)) {
-    const std::size_t images = rfs_->num_images();
-    std::uint64_t value = 0;
-    if (!finalize->AsUint(images, &value)) {
-      return JsonError(400, "\"finalize\" must be true or an integer in [0, " +
-                                std::to_string(images) + "]");
-    }
-    if (value > 0) k = static_cast<std::size_t>(value);
-  }
+  StatusOr<FeedbackBody> decoded =
+      DecodeFeedback(body, rfs_->num_images(), options_.default_k);
+  if (!decoded.ok()) return JsonError(400, decoded.status().message());
 
   std::uint64_t start_ns = obs::MonotonicNanos();
   StatusOr<std::vector<DisplayGroup>> next = [&] {
     QDCBIR_SPAN("serve.api.feedback");
-    return session->qd.Feedback(relevant);
+    return session->qd.Feedback(decoded->relevant);
   }();
   session->rounds_ns += obs::MonotonicNanos() - start_ns;
   if (!next.ok()) {
@@ -707,37 +761,21 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     return WithTrace(JsonError(400, next.status().ToString()),
                      session->trace);
   }
-  session->picks += relevant.size();
+  session->picks += decoded->relevant.size();
   session->quality.ObserveRound(DisplayIds(*next),
                                 session->qd.stats().localized_subqueries);
-
-  if (finalize == nullptr) {
-    std::string out = "{\"session\":" + std::to_string(session_id) +
-                      ",\"round\":" + std::to_string(session->qd.round()) +
-                      ",";
-    AppendDisplayJson(&out, *next);
-    out += "}\n";
-    return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)},
-                     session->trace);
+  if (!decoded->finalize) {
+    return DisplayReply(session_id, session->qd.round(), *next,
+                        session->trace);
   }
 
   start_ns = obs::MonotonicNanos();
   StatusOr<QdResult> result = [&] {
     QDCBIR_SPAN("serve.api.finalize");
-    StatusOr<QdResult> finalized = session->qd.Finalize(k);
+    StatusOr<QdResult> finalized = session->qd.Finalize(decoded->k);
     if (finalized.ok()) {
-      // Quality observation of the final ranked list happens inside the
-      // span so the proxies land as annotations on the session's trace.
-      session->quality.ObserveRound(
-          RankedIds(finalized->Flatten()),
-          session->qd.stats().localized_subqueries);
-      session->quality.Finalized();
-      QDCBIR_SPAN_ANNOTATE(
-          "quality.topk_jaccard_permille",
-          static_cast<std::int64_t>(session->quality.last_jaccard_permille()));
-      QDCBIR_SPAN_ANNOTATE(
-          "quality.rank_churn",
-          static_cast<std::int64_t>(session->quality.last_rank_churn()));
+      ObserveFinalRanking(session->quality, *finalized,
+                          session->qd.stats().localized_subqueries);
     }
     return finalized;
   }();
@@ -750,143 +788,18 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
                      session->trace);
   }
 
-  // The session is complete: publish it to the /queryz audit ring and
-  // release the slot. This thread's pending deltas first (pool workers
-  // flushed at task end; `Run` already joined them), then the totals.
-  // Everything from here through FinishSessionObservability is the
-  // per-session publish step, timed into obs.publish_ns.
+  // Retiring the session is its publish step; the timer wraps the whole
+  // call, wide event and SLO evaluation included.
   const std::uint64_t publish_start_ns = obs::MonotonicNanos();
-  obs::FlushResourceAccounting();
-  const QdSessionStats& stats = session->qd.stats();
-  const obs::SessionQuality quality = session->quality.Summary();
-  const obs::QueryAuditRecord record =
-      session->AuditRecord(quality, result->TotalImages(), finalize_ns);
-  obs::QueryLog::Global().Record(record);
-
-  // Per-session physical-work distributions, alongside the latency family.
-  {
-    static obs::Histogram& distance_evals =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "serve.session.distance_evals",
-            "Distance evaluations per RF session");
-    static obs::Histogram& feature_bytes =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "serve.session.feature_bytes",
-            "Feature-vector bytes scanned per RF session");
-    static obs::Histogram& leaves_visited =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "serve.session.leaves_visited",
-            "RFS tree nodes visited per RF session");
-    static obs::Histogram& tiles_gathered =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "serve.session.tiles_gathered",
-            "Blocked-layout gather tiles built per RF session");
-    static obs::Histogram& alloc_bytes =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "serve.session.alloc_bytes",
-            "Hot-container bytes allocated per RF session");
-    static obs::Histogram& cache_hits =
-        obs::MetricsRegistry::Global().GetHistogram(
-            "serve.session.cache_hits", "Cache hits per RF session");
-    cache_hits.Record(record.cache_hits);
-    distance_evals.Record(record.distance_evals);
-    feature_bytes.Record(record.feature_bytes);
-    leaves_visited.Record(record.leaves_visited);
-    tiles_gathered.Record(record.tiles_gathered);
-    alloc_bytes.Record(record.alloc_bytes);
-  }
-
-  // Session latency distribution, with the trace id attached as an
-  // OpenMetrics exemplar so a latency bucket links to its /tracez tree.
-  static obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
-      "serve.session.latency_ns",
-      "End-to-end RF session latency (rounds + finalize)");
-  latency.Record(record.total_ns);
-  obs::MetricsRegistry::Global().RecordExemplar(
-      "serve.session.latency_ns", record.total_ns,
-      obs::TraceIdHex(session->trace));
-
-  // Retroactive retention: the tree was recorded unconditionally while the
-  // buffer existed; keep it when the session was head-sampled or crossed
-  // the slow threshold, drop it (with the buffer) otherwise.
-  const bool slow =
-      options_.slow_trace_ms >= 0.0 &&
-      static_cast<double>(record.total_ns) >= options_.slow_trace_ms * 1e6;
-  if (session->trace.recording() && (session->head_sampled || slow)) {
-    obs::CompletedTrace completed;
-    completed.trace_id = obs::TraceIdHex(session->trace);
-    completed.label = session->label;
-    completed.reason = session->head_sampled ? "sampled" : "slow";
-    completed.total_ns = record.total_ns;
-    completed.dropped_spans = session->trace.buffer->dropped();
-    completed.spans = session->trace.buffer->spans();
-    completed.annotations = session->trace.buffer->annotations();
-    if (slow) {
-      // Pin the slow session into engine history: an immediate sample
-      // captures the counters around the spike, and the event mark lets
-      // /historyz output join back to the /tracez tree by trace id.
-      recorder_->SampleNow();
-      recorder_->MarkEvent(completed.trace_id);
-    }
-    obs::TraceStore::Global().Publish(std::move(completed));
-  }
-  QDCBIR_LOG(obs::LogLevel::kInfo,
-             "session " + std::to_string(session_id) + " finalized: " +
-                 std::to_string(record.results) + " results, " +
-                 std::to_string(record.subqueries) + " subqueries, " +
-                 std::to_string(record.total_ns / 1000000) + " ms");
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.erase(session_id);
-  }
-  FinishSessionObservability(*session, session_id, quality, record);
+  RetireSession(session_id, *session, &*result, finalize_ns);
   static obs::Histogram& publish = obs::MetricsRegistry::Global().GetHistogram(
       "obs.publish_ns",
       "Telemetry publish cost per finalized RF session: audit record, "
       "session histograms, trace retention, access drain, quality, SLO "
       "evaluation and wide event");
   publish.Record(obs::MonotonicNanos() - publish_start_ns);
-
-  std::string out = "{\"session\":" + std::to_string(session_id) +
-                    ",\"results\":[";
-  bool first = true;
-  for (const ImageId id : result->Flatten()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += std::to_string(id);
-  }
-  out += "],\"groups\":[";
-  first = true;
-  for (const ResultGroup& group : result->groups) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"leaf\":" + std::to_string(group.leaf) +
-           ",\"search_node\":" + std::to_string(group.search_node) +
-           ",\"relevant_count\":" + std::to_string(group.relevant_count) +
-           ",\"images\":[";
-    bool first_image = true;
-    for (const KnnMatch& match : group.images) {
-      if (!first_image) out.push_back(',');
-      first_image = false;
-      out += std::to_string(match.id);
-    }
-    out += "]}";
-  }
-  out += "],\"stats\":{\"subqueries\":" +
-         std::to_string(stats.localized_subqueries) +
-         ",\"boundary_expansions\":" +
-         std::to_string(stats.boundary_expansions) +
-         ",\"expanded_subqueries\":" +
-         std::to_string(stats.expanded_subqueries) +
-         ",\"knn_nodes_visited\":" + std::to_string(stats.knn_nodes_visited) +
-         ",\"knn_candidates\":" + std::to_string(stats.knn_candidates) +
-         ",\"nodes_touched\":" + std::to_string(stats.nodes_touched) +
-         ",\"distinct_nodes_sampled\":" +
-         std::to_string(stats.distinct_nodes_sampled) +
-         "},\"rounds_ns\":" + std::to_string(record.rounds_ns) +
-         ",\"finalize_ns\":" + std::to_string(record.finalize_ns) + "}\n";
-  return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)},
-                   session->trace);
+  return FinalizeReply(session_id, *result, session->qd.stats(),
+                       session->rounds_ns, finalize_ns, session->trace);
 }
 
 obs::HttpResponse ServeApp::HandleApiRep(const obs::HttpRequest& request) {
@@ -909,10 +822,7 @@ obs::HttpResponse ServeApp::HandleApiRep(const obs::HttpRequest& request) {
   // sessions' lookups, opens and erases.
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    if (readiness() != Readiness::kServing) {
-      return JsonError(503, std::string("not ready: ") +
-                                ReadinessName(readiness()));
-    }
+    if (readiness() != Readiness::kServing) return NotReady(readiness());
     if (parsed >= db_->size()) return JsonError(404, "no such image");
     reps_in_flight_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -948,10 +858,7 @@ obs::HttpResponse ServeApp::HandleApiReload(const obs::HttpRequest& request) {
   if (reload_busy_.exchange(true, std::memory_order_acquire)) {
     return JsonError(409, "reload already in progress");
   }
-  struct BusyReset {
-    std::atomic<bool>& flag;
-    ~BusyReset() { flag.store(false, std::memory_order_release); }
-  } busy_reset{reload_busy_};
+  const BusyReset busy_reset{reload_busy_};
 
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -1091,11 +998,16 @@ obs::HttpResponse ServeApp::HandleStatusz(const obs::HttpRequest&) {
 }
 
 obs::HttpResponse ServeApp::HandleProfilez(const obs::HttpRequest& request) {
-  double seconds = QueryParamDouble(request.query, "seconds", 2.0);
-  if (seconds < 0.05) seconds = 0.05;
-  if (seconds > 30.0) seconds = 30.0;
-  const int hz = static_cast<int>(
-      QueryParamDouble(request.query, "hz", obs::ProfilerOptions{}.hz));
+  double seconds = 0.0;
+  double hz_param = 0.0;
+  if (!ParseFiniteParam(request.query, "seconds", 2.0, &seconds) ||
+      !ParseFiniteParam(request.query, "hz", obs::ProfilerOptions{}.hz,
+                        &hz_param)) {
+    return JsonError(400, "seconds and hz must be finite numbers");
+  }
+  seconds = std::clamp(seconds, 0.05, 30.0);
+  // The profiler's own [1, 2000] range, applied before the cast.
+  const int hz = static_cast<int>(std::clamp(hz_param, 1.0, 2000.0));
   std::string format = QueryParam(request.query, "format");
   if (format.empty()) format = "collapsed";
   if (format != "collapsed" && format != "json") {
@@ -1107,10 +1019,7 @@ obs::HttpResponse ServeApp::HandleProfilez(const obs::HttpRequest& request) {
   if (profilez_busy_.exchange(true, std::memory_order_acquire)) {
     return JsonError(409, "profile capture already in progress");
   }
-  struct BusyReset {
-    std::atomic<bool>& flag;
-    ~BusyReset() { flag.store(false, std::memory_order_release); }
-  } busy_reset{profilez_busy_};
+  const BusyReset busy_reset{profilez_busy_};
 
   // With the background profiler armed the window is a zero-setup slice of
   // the continuous stream (the `hz` parameter is ignored); otherwise this
@@ -1159,10 +1068,7 @@ obs::HttpResponse ServeApp::HandleIndexz(const obs::HttpRequest& request) {
   // (reload) happen under the same lock, so observing kServing here pins
   // `rfs_` for the duration. The walk is O(nodes) over in-memory structs.
   std::lock_guard<std::mutex> lock(sessions_mu_);
-  if (readiness() != Readiness::kServing) {
-    return JsonError(503, std::string("not ready: ") +
-                              ReadinessName(readiness()));
-  }
+  if (readiness() != Readiness::kServing) return NotReady(readiness());
   const IndexTreeSummary summary = SummarizeIndexTree(*rfs_);
   IndexAccessJoin join;
   join.generation = load_generation_.load(std::memory_order_relaxed);
@@ -1184,28 +1090,116 @@ obs::HttpResponse ServeApp::HandleHistoryz(const obs::HttpRequest& request) {
   // `?window=` is trailing seconds of history; 0 or absent keeps the whole
   // ring.
   const std::string metric = QueryParam(request.query, "metric");
-  const double window_s = QueryParamDouble(request.query, "window", 0.0);
-  if (window_s < 0.0) {
+  double window_s = 0.0;
+  if (!ParseFiniteParam(request.query, "window", 0.0, &window_s) ||
+      window_s < 0.0) {
     return JsonError(400, "window must be non-negative seconds");
   }
+  // Capped at 1e9 s (~31 years, longer than any ring holds) so the
+  // nanosecond count fits the cast.
   const std::uint64_t window_ns =
-      static_cast<std::uint64_t>(window_s * 1e9);
+      static_cast<std::uint64_t>(std::min(window_s, 1e9) * 1e9);
   return obs::HttpResponse{200, kJsonType,
                            recorder_->RenderJson(metric, window_ns) + "\n"};
 }
 
-void ServeApp::FinishSessionObservability(const Session& session,
-                                          std::uint64_t session_id,
-                                          const obs::SessionQuality& quality,
-                                          const obs::QueryAuditRecord& record) {
-  // Drain the session's index-access heatmap (its sink was flushed before
-  // `record` was built): per-leaf rows into the global table, label-free
-  // aggregates into the registry, and the touched-leaf set into the
-  // co-access tracker.
+void ServeApp::RetireSession(std::uint64_t session_id, const Session& session,
+                             const QdResult* result,
+                             std::uint64_t finalize_ns) {
+  // This thread's pending deltas first (pool workers flushed at task end;
+  // `Run` already joined them), then the totals.
+  obs::FlushResourceAccounting();
+  const obs::SessionQuality quality = session.quality.Summary();
+  const QdSessionStats& stats = session.qd.stats();
+  obs::QueryAuditRecord record;
+  record.set_engine("qd");
+  record.set_label(session.label);
+  record.seed = session.seed;
+  record.rounds = static_cast<std::uint64_t>(session.qd.round());
+  record.picks = session.picks;
+  record.results = result != nullptr ? result->TotalImages() : 0;
+  record.subqueries = stats.localized_subqueries;
+  record.boundary_expansions = stats.boundary_expansions;
+  record.expanded_subqueries = stats.expanded_subqueries;
+  record.nodes_visited = stats.knn_nodes_visited;
+  record.candidates_scored = stats.knn_candidates;
+  record.nodes_touched = stats.nodes_touched;
+  record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
+  record.rounds_ns = session.rounds_ns;
+  record.finalize_ns = finalize_ns;
+  record.total_ns = session.rounds_ns + finalize_ns;
+  record.trace_hi = session.trace.trace_hi;
+  record.trace_lo = session.trace.trace_lo;
+  record.SetTelemetry(session.resources.Snapshot(), quality);
+  record.sequence = obs::QueryLog::Global().Record(record);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  if (result != nullptr) {
+    // Per-session physical-work distributions, and the latency
+    // distribution with the trace id attached as an OpenMetrics exemplar so
+    // a latency bucket links to its /tracez tree.
+    static obs::Histogram& distance_evals = registry.GetHistogram(
+        "serve.session.distance_evals", "Distance evaluations per RF session");
+    static obs::Histogram& feature_bytes = registry.GetHistogram(
+        "serve.session.feature_bytes",
+        "Feature-vector bytes scanned per RF session");
+    static obs::Histogram& leaves_visited = registry.GetHistogram(
+        "serve.session.leaves_visited",
+        "RFS tree nodes visited per RF session");
+    static obs::Histogram& cache_hits = registry.GetHistogram(
+        "serve.session.cache_hits", "Cache hits per RF session");
+    static obs::Histogram& latency = registry.GetHistogram(
+        "serve.session.latency_ns",
+        "End-to-end RF session latency (rounds + finalize)");
+    cache_hits.Record(record.cache_hits);
+    distance_evals.Record(record.distance_evals);
+    feature_bytes.Record(record.feature_bytes);
+    leaves_visited.Record(record.leaves_visited);
+    latency.Record(record.total_ns);
+    registry.RecordExemplar("serve.session.latency_ns", record.total_ns,
+                            obs::TraceIdHex(session.trace));
+
+    // Retroactive retention: the tree was recorded unconditionally while
+    // the buffer existed; keep it when the session was head-sampled or
+    // crossed the slow threshold, drop it (with the buffer) otherwise.
+    const bool slow =
+        options_.slow_trace_ms >= 0.0 &&
+        static_cast<double>(record.total_ns) >= options_.slow_trace_ms * 1e6;
+    if (session.trace.recording() && (session.head_sampled || slow)) {
+      obs::CompletedTrace completed;
+      completed.trace_id = obs::TraceIdHex(session.trace);
+      completed.label = session.label;
+      completed.reason = session.head_sampled ? "sampled" : "slow";
+      completed.total_ns = record.total_ns;
+      completed.dropped_spans = session.trace.buffer->dropped();
+      completed.spans = session.trace.buffer->spans();
+      completed.annotations = session.trace.buffer->annotations();
+      if (slow) {
+        // Pin the slow session into engine history: an immediate sample
+        // captures the counters around the spike, and the event mark lets
+        // /historyz output join back to the /tracez tree by trace id.
+        recorder_->SampleNow();
+        recorder_->MarkEvent(completed.trace_id);
+      }
+      obs::TraceStore::Global().Publish(std::move(completed));
+    }
+    QDCBIR_LOG(obs::LogLevel::kInfo,
+               "session " + std::to_string(session_id) + " finalized: " +
+                   std::to_string(record.results) + " results, " +
+                   std::to_string(record.subqueries) + " subqueries, " +
+                   std::to_string(record.total_ns / 1000000) + " ms");
+  }
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    sessions_.erase(session_id);
+  }
+
+  // Drain the session's index-access heatmap: per-leaf rows into the
+  // global table, label-free aggregates into the registry, and the
+  // touched-leaf set into the co-access tracker.
   const std::vector<obs::LeafAccess> access = session.resources.LeafSnapshot();
   obs::AccessStatsTable::Global().MergeSession(access);
   if (!access.empty()) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
     static obs::Counter& scans = registry.GetCounter(
         "access.leaf.scans", "Localized leaf scans across RF sessions");
     static obs::Counter& evals = registry.GetCounter(
@@ -1230,52 +1224,22 @@ void ServeApp::FinishSessionObservability(const Session& session,
   slo_engine_->Evaluate();
   if (wide_events_ == nullptr) return;
 
-  const std::uint64_t unix_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  // The wide event is the /queryz row (with the untruncated label) plus
+  // what only the server knows: the session id, the engine configuration,
+  // the leaves touched, two more quality proxies and the SLO states.
   obs::WideEventBuilder event;
   event.Add("event", "session")
-      .Add("unix_ms", unix_ms)
-      .Add("session", session_id)
-      .Add("label", session.label)
-      .Add("engine", "qd")
-      .Add("seed", session.seed)
-      .Add("trace", record.trace_hex())
-      .Add("outcome", obs::SessionOutcomeName(quality.outcome))
-      .Add("rounds", record.rounds)
-      .Add("picks", record.picks)
-      .Add("results", record.results)
-      .Add("subqueries", record.subqueries)
-      .Add("boundary_expansions", record.boundary_expansions)
-      .Add("expanded_subqueries", record.expanded_subqueries)
-      .Add("rounds_ns", record.rounds_ns)
-      .Add("finalize_ns", record.finalize_ns)
-      .Add("total_ns", record.total_ns)
-      // Engine configuration the session ran under.
-      .Add("display_size",
-           static_cast<std::uint64_t>(options_.display_size))
+      .Add("unix_ms", obs::UnixMillis())
+      .Add("session", session_id);
+  obs::AddAuditFields(record, session.label, event);
+  event.Add("display_size", static_cast<std::uint64_t>(options_.display_size))
       .Add("boundary_threshold", options_.boundary_threshold)
       .Add("cache_mb", static_cast<std::uint64_t>(options_.cache_mb))
       .Add("load_generation", load_generation_.load(std::memory_order_relaxed))
-      // Physical work and cache traffic.
-      .Add("distance_evals", record.distance_evals)
-      .Add("feature_bytes", record.feature_bytes)
-      .Add("leaves_visited", record.leaves_visited)
-      .Add("tiles_gathered", record.tiles_gathered)
-      .Add("alloc_bytes", record.alloc_bytes)
-      .Add("cache_hits", record.cache_hits)
-      .Add("cache_misses", record.cache_misses)
       .Add("leaves_touched", static_cast<std::uint64_t>(access.size()))
-      // Quality telemetry.
-      .Add("quality_jaccard_permille", quality.last_jaccard_permille)
       .Add("quality_mean_jaccard_permille", quality.mean_jaccard_permille)
-      .Add("quality_rank_churn", quality.last_rank_churn)
-      .Add("quality_rounds_to_stability", quality.rounds_to_stability)
-      .Add("quality_subquery_growth", quality.subquery_growth);
-  // SLO state at session completion, one field per definition plus the
-  // worst state, so offline slicing can filter sessions by health.
-  event.Add("slo_worst", obs::SloStateName(slo_engine_->WorstState()));
+      .Add("quality_subquery_growth", quality.subquery_growth)
+      .Add("slo_worst", obs::SloStateName(slo_engine_->WorstState()));
   for (const obs::SloStatus& status : slo_engine_->Snapshot()) {
     event.Add("slo_" + status.name, obs::SloStateName(status.state));
   }

@@ -200,19 +200,14 @@ class ServeApp {
     /// Per-session resource sink: every request handler installs it with
     /// the session's trace around the engine calls, so pool workers
     /// executing subqueries merge their physical work and per-leaf scans
-    /// here. The totals feed the /queryz record and the serve.session.*
-    /// histograms; the leaf rows drain into the global AccessStatsTable
-    /// and the co-access tracker when the session ends.
+    /// here. `RetireSession` copies the totals into the session's record
+    /// (its /queryz row and wide event, and for a finalized session the
+    /// serve.session.* histograms) and drains the leaf rows into the
+    /// global AccessStatsTable and the co-access tracker.
     obs::ResourceAccumulator resources;
     /// Passive quality observer: fed the ranked ids of every display and
     /// the final result; never influences ranking (see obs/quality_stats.h).
     obs::SessionQualityTracker quality;
-
-    /// The session's /queryz record. `results` and `finalize_ns` stay zero
-    /// for a session that never finalized.
-    obs::QueryAuditRecord AuditRecord(const obs::SessionQuality& summary,
-                                      std::uint64_t results,
-                                      std::uint64_t finalize_ns) const;
   };
 
   void LoadInBackground();
@@ -228,14 +223,15 @@ class ServeApp {
   obs::HttpResponse HandleIndexz(const obs::HttpRequest& request);
   obs::HttpResponse HandleHistoryz(const obs::HttpRequest& request);
 
-  /// Drains the session's leaf rows into the index-access aggregates,
-  /// publishes quality metrics, and emits the session's wide event. Called with the session off the
-  /// map (finalize) or during teardown (abandoned/errored) — purely
-  /// observational, after the response is built.
-  void FinishSessionObservability(const Session& session,
-                                  std::uint64_t session_id,
-                                  const obs::SessionQuality& quality,
-                                  const obs::QueryAuditRecord& record);
+  /// Ends a session, finalized (`result` non-null) or not: builds its one
+  /// audit record, records it to /queryz, removes the session from the
+  /// map, drains its leaf rows, publishes its quality, evaluates the SLOs
+  /// and emits its wide event when a sink exists. A finalized session also
+  /// feeds the serve.session.* histograms, the latency exemplar, trace
+  /// retention and the log line. Finalize and the `Stop()` sweep call it
+  /// after the engine work; it never touches the reply.
+  void RetireSession(std::uint64_t session_id, const Session& session,
+                     const QdResult* result, std::uint64_t finalize_ns);
 
   ThreadPool& QueryPool() const {
     return options_.pool != nullptr ? *options_.pool : ThreadPool::Global();

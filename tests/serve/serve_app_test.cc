@@ -18,6 +18,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "qdcbir/image/ppm_io.h"
 #include "qdcbir/obs/log.h"
 #include "qdcbir/obs/prom_export.h"
+#include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/rfs/rfs_builder.h"
 #include "qdcbir/rfs/rfs_serialization.h"
@@ -1498,6 +1500,173 @@ TEST_F(ServeAppTest, HistoryzServesMonotoneSessionSeries) {
   }
   EXPECT_TRUE(lists_sessions);
   app.Stop();
+}
+
+TEST_F(ServeAppTest, AdminFloatParametersMustBeFiniteNumbers) {
+  ThreadPool pool(2);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  options.history_interval_ms = 0;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  // A value that is not a finite number answers 400 before it can reach a
+  // float-to-integer cast; a finite value past its range is clamped.
+  struct Case {
+    const char* path;
+    int status;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"/historyz?window=nan", 400},
+           {"/historyz?window=inf", 400},
+           {"/historyz?window=-inf", 400},
+           {"/historyz?window=1e400", 400},
+           {"/historyz?window=abc", 400},
+           {"/historyz?window=-1", 400},
+           {"/historyz?window=1e20", 200},
+           {"/historyz?window=2.5", 200},
+           {"/profilez?seconds=nan", 400},
+           {"/profilez?seconds=inf", 400},
+           {"/profilez?seconds=1e400", 400},
+           {"/profilez?seconds=2s", 400},
+           {"/profilez?seconds=0.05&hz=nan", 400},
+           {"/profilez?seconds=0.05&hz=inf", 400},
+           {"/profilez?seconds=0.05&hz=-inf", 400},
+#if defined(__linux__)
+           {"/profilez?seconds=-1e20&hz=-1e20", 200},
+#endif
+       }) {
+    const std::string response = Get(app.port(), c.path);
+    EXPECT_EQ(response.rfind("HTTP/1.1 " + std::to_string(c.status), 0), 0u)
+        << c.path << "\n"
+        << response;
+  }
+#if defined(__linux__)
+  // hz past the profiler's range runs at its 2000 Hz ceiling.
+  const std::string response =
+      Get(app.port(), "/profilez?seconds=0.05&hz=1e20&format=json");
+  ASSERT_NE(response.find("200 OK"), std::string::npos) << response;
+  StatusOr<JsonValue> profile = ParseJson(BodyOf(response));
+  ASSERT_TRUE(profile.ok()) << BodyOf(response);
+  EXPECT_EQ(profile->U64Field("hz", 0), 2000u);
+#endif
+  app.Stop();
+}
+
+TEST_F(ServeAppTest, QueryzRowCarriesExactlyTheAuditFields) {
+  ThreadPool pool(2);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  RunScriptedHttpSession(app.port(), "keys-pinned");
+  StatusOr<JsonValue> queryz = ParseJson(BodyOf(Get(app.port(), "/queryz")));
+  ASSERT_TRUE(queryz.ok());
+  const JsonValue* record = FindAuditRecord(*queryz, "keys-pinned");
+  ASSERT_NE(record, nullptr);
+  std::vector<std::string> keys;
+  for (const auto& field : record->fields) keys.push_back(field.first);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "sequence", "engine", "label", "seed", "rounds",
+                      "picks", "results", "subqueries",
+                      "boundary_expansions", "expanded_subqueries",
+                      "nodes_visited", "candidates_scored", "nodes_touched",
+                      "distinct_nodes_sampled", "rounds_ns", "finalize_ns",
+                      "total_ns", "distance_evals", "feature_bytes",
+                      "leaves_visited", "cache_hits", "cache_misses",
+                      "quality_jaccard_permille", "quality_rank_churn",
+                      "quality_rounds_to_stability", "outcome", "trace"}));
+  app.Stop();
+}
+
+TEST_F(ServeAppTest, RetiredSessionsRenderOneRecordToQueryzAndWideEvents) {
+  const std::string events_path =
+      ::testing::TempDir() + "serve_retire_events.jsonl";
+  std::remove(events_path.c_str());
+  ThreadPool pool(4);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  options.wide_events_path = events_path;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  // One finalized session, one left open after a feedback round (swept as
+  // abandoned at Stop), and one finalized under a label longer than the
+  // record's 28 bytes.
+  const std::string long_label(40, 'L');
+  RunScriptedHttpSession(app.port(), "retire-final");
+  RunScriptedHttpSession(app.port(), long_label);
+  StatusOr<JsonValue> open = ParseJson(BodyOf(Post(
+      app.port(), "/api/query", "{\"seed\":7,\"label\":\"retire-aband\"}")));
+  ASSERT_TRUE(open.ok());
+  const std::string session = std::to_string(open->U64Field("session", 0));
+  EXPECT_NE(Post(app.port(), "/api/feedback",
+                 "{\"session\":" + session + ",\"relevant\":[]}")
+                .find("200 OK"),
+            std::string::npos);
+  app.Stop();
+
+  // The abandoned session's row is written by the sweep, after the
+  // listener closed: read the ring in-process.
+  StatusOr<JsonValue> queryz = ParseJson(obs::QueryLog::Global().RenderJson());
+  ASSERT_TRUE(queryz.ok());
+  std::ifstream in(events_path);
+  ASSERT_TRUE(in.good()) << events_path;
+  std::vector<JsonValue> events;
+  std::string line;
+  while (std::getline(in, line)) {
+    StatusOr<JsonValue> parsed = ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    events.push_back(std::move(*parsed));
+  }
+  ASSERT_EQ(events.size(), 3u);
+  const auto event_for = [&events](const std::string& label) {
+    for (const JsonValue& event : events) {
+      if (event.Find("label")->string == label) return &event;
+    }
+    return static_cast<const JsonValue*>(nullptr);
+  };
+
+  std::set<std::uint64_t> sequences;
+  for (const char* label : {"retire-final", "retire-aband"}) {
+    SCOPED_TRACE(label);
+    const JsonValue* row = FindAuditRecord(*queryz, label);
+    const JsonValue* event = event_for(label);
+    ASSERT_NE(row, nullptr);
+    ASSERT_NE(event, nullptr);
+    // Every row field is in the event, with the same value.
+    for (const auto& [key, value] : row->fields) {
+      const JsonValue* mirrored = event->Find(key);
+      ASSERT_NE(mirrored, nullptr) << key;
+      EXPECT_EQ(mirrored->kind, value.kind) << key;
+      EXPECT_EQ(mirrored->number, value.number) << key;
+      EXPECT_EQ(mirrored->string, value.string) << key;
+    }
+    for (const char* key : {"tiles_gathered", "container_allocs",
+                            "alloc_bytes"}) {
+      EXPECT_EQ(event->Find(key), nullptr) << key;
+    }
+    sequences.insert(event->U64Field("sequence", 0));
+  }
+  EXPECT_EQ(sequences.size(), 2u);
+  EXPECT_EQ(FindAuditRecord(*queryz, "retire-final")->Find("outcome")->string,
+            "finalized");
+  EXPECT_EQ(FindAuditRecord(*queryz, "retire-aband")->Find("outcome")->string,
+            "abandoned");
+
+  // The event keeps the whole label; the row keeps its first 28 bytes.
+  EXPECT_NE(event_for(long_label), nullptr);
+  EXPECT_NE(FindAuditRecord(*queryz, long_label.substr(0, 28)), nullptr);
 }
 
 }  // namespace
